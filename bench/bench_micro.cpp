@@ -33,7 +33,7 @@ static void BM_EngineSleepFastPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_EngineSleepFastPath);
+BENCHMARK(BM_EngineSleepFastPath)->UseRealTime();
 
 static void BM_EngineTokenHandoff(benchmark::State& state) {
   const int actors = static_cast<int>(state.range(0));
@@ -49,7 +49,7 @@ static void BM_EngineTokenHandoff(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * actors * 100);
 }
-BENCHMARK(BM_EngineTokenHandoff)->Arg(2)->Arg(12)->Arg(48);
+BENCHMARK(BM_EngineTokenHandoff)->Arg(2)->Arg(12)->Arg(48)->UseRealTime();
 
 static void BM_ResourceAcquire(benchmark::State& state) {
   sim::Resource r;

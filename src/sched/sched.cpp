@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/partition.h"
@@ -528,7 +527,6 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     wtc->clear_window();
   }
 
-  std::mutex mu;
   std::vector<verify::ExchangeModel> models;
 
   dtrace::Collector col;
@@ -578,7 +576,6 @@ Scheduler::WaveResult Scheduler::run_wave(const std::vector<Admission>& wave, Ru
     if (collect_models && spec.persistent && sr == 0 &&
         !dd.plan_cache().entries().empty()) {
       verify::ExchangeModel m = dd.verify_model(*dd.plan_cache().entries().front());
-      const std::lock_guard<std::mutex> lk(mu);
       models.push_back(std::move(m));
     }
   });

@@ -1,8 +1,29 @@
 #include "simtime/engine.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
+#include <cxxabi.h>
 #include <sstream>
+#include <system_error>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define STENCIL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define STENCIL_ASAN 1
+#endif
+#endif
+
+#ifdef STENCIL_ASAN
+#include <dlfcn.h>
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace stencil::sim {
 
@@ -12,6 +33,111 @@ struct TlsBinding {
   int actor_id = -1;
 };
 thread_local TlsBinding tls;
+
+// Every actor gets the glibc pthread default stack size. The mapping is
+// MAP_NORESERVE and never touched up front, so only the pages an actor
+// actually uses become resident.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+
+// The C++ runtime's per-thread exception state (__cxa_eh_globals in the
+// Itanium ABI): the chain of caught exceptions that `throw;` and
+// std::current_exception() read, and the count std::uncaught_exceptions()
+// returns. All fibers share one thread, so each switch saves the outgoing
+// fiber's copy and installs the incoming one's.
+struct EhGlobals {
+  void* caught_exceptions = nullptr;
+  unsigned int uncaught_exceptions = 0;
+};
+
+EhGlobals& eh_globals() { return *reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals()); }
+
+using SwapContextFn = int (*)(ucontext_t*, const ucontext_t*);
+
+// Under ASan, call libc's swapcontext rather than ASan's interceptor: the
+// interceptor cannot know where the stacks are, so it clears the target's
+// shadow and warns about false positives. The switches here tell ASan
+// exactly (start/finish_switch_fiber), which makes that guess unnecessary.
+SwapContextFn swap_context() {
+#ifdef STENCIL_ASAN
+  static const SwapContextFn fn = [] {
+    void* libc = dlopen("libc.so.6", RTLD_LAZY | RTLD_NOLOAD);
+    void* sym = libc != nullptr ? dlsym(libc, "swapcontext") : nullptr;
+    return sym != nullptr ? reinterpret_cast<SwapContextFn>(sym) : &::swapcontext;
+  }();
+  return fn;
+#else
+  return &::swapcontext;
+#endif
+}
+}  // namespace
+
+struct Engine::Fiber {
+  ucontext_t ctx{};
+  EhGlobals eh;
+  // Usable stack (above the guard page). For the run() caller it stays
+  // unknown until ASan reports it on the first switch away from it.
+  const void* stack_lo = nullptr;
+  std::size_t stack_size = 0;
+  void* asan_fake_stack = nullptr;
+};
+
+struct Engine::Actor : Fiber {
+  int id = -1;
+  std::function<void()> body;
+  std::string name;
+  void* mapping = nullptr;  // the stack's mmap region, guard page first
+  State state = State::kDone;  // until first scheduled
+  Time wake_time = 0;
+  std::uint64_t seq = 0;       // admission order for same-time tie-breaks
+  Gate* gate = nullptr;        // which gate, when kGateBlocked (diagnostics)
+  bool gate_notified = false;  // wait_until: woken by notify, not timeout
+  std::string block_detail;    // caller-supplied reason for the block
+  Time blocked_at = 0;
+
+  Actor(int i, std::function<void()> b, std::string n)
+      : id(i), body(std::move(b)), name(std::move(n)) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    mapping = mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (mapping == MAP_FAILED) {
+      mapping = nullptr;
+      throw std::system_error(errno, std::generic_category(), "mmap actor stack");
+    }
+    // Stacks grow down: an overflow hits the PROT_NONE page and faults.
+    if (mprotect(mapping, page, PROT_NONE) != 0) {
+      const int err = errno;
+      release_stack();
+      throw std::system_error(err, std::generic_category(), "mprotect actor stack guard");
+    }
+    stack_lo = static_cast<char*>(mapping) + page;
+    stack_size = kStackBytes - page;
+    getcontext(&ctx);
+    ctx.uc_stack.ss_sp = const_cast<void*>(stack_lo);
+    ctx.uc_stack.ss_size = stack_size;
+    ctx.uc_link = nullptr;  // fibers never return; they switch away when done
+    makecontext(&ctx, &Engine::fiber_entry, 0);
+  }
+  Actor(const Actor&) = delete;
+  Actor& operator=(const Actor&) = delete;
+  ~Actor() { release_stack(); }
+
+  void release_stack() {
+    if (mapping == nullptr) return;
+#ifdef STENCIL_ASAN
+    // A later mapping may reuse these addresses: drop this stack's redzones.
+    ASAN_UNPOISON_MEMORY_REGION(stack_lo, stack_size);
+#endif
+    munmap(mapping, kStackBytes);
+    mapping = nullptr;
+  }
+};
+
+namespace {
+// Heap order for std::push_heap/pop_heap: the front is the least
+// (at, seq), i.e. the earliest wakeup, ties broken by admission order.
+constexpr auto later = [](const auto& a, const auto& b) {
+  return a.at > b.at || (a.at == b.at && a.seq > b.seq);
+};
 }  // namespace
 
 std::string DeadlockReport::to_string() const {
@@ -28,6 +154,9 @@ std::string DeadlockReport::to_string() const {
 DeadlockError::DeadlockError(DeadlockReport rep)
     : std::runtime_error(rep.to_string()),
       report_(std::make_shared<const DeadlockReport>(std::move(rep))) {}
+
+Engine::Engine() = default;
+Engine::~Engine() = default;
 
 Engine* Engine::current() { return tls.engine; }
 
@@ -47,47 +176,47 @@ void Engine::check_in_actor() const {
   }
 }
 
+Engine::Actor& Engine::calling_actor() { return *actors_[static_cast<std::size_t>(tls.actor_id)]; }
+
 void Engine::run(std::vector<std::function<void()>> bodies, std::vector<std::string> names) {
   if (bodies.empty()) return;
   if (tls.engine != nullptr) {
     throw std::logic_error("Engine::run() may not be called from inside an actor");
   }
-
-  std::unique_lock<std::mutex> lk(mu_);
   if (live_actors_ != 0) {
     throw std::logic_error("Engine::run() is already active");
   }
   shutdown_ = false;
   first_error_ = nullptr;
   actors_.clear();
+  run_queue_.clear();
+  timed_actors_ = 0;
   actors_.reserve(bodies.size());
   for (std::size_t i = 0; i < bodies.size(); ++i) {
-    auto a = std::make_unique<Actor>();
-    a->body = std::move(bodies[i]);
-    a->name = i < names.size() ? std::move(names[i]) : std::string{};
-    a->state = State::kTimed;
-    a->wake_time = now_;
-    a->seq = next_seq_++;
-    actors_.push_back(std::move(a));
+    actors_.push_back(std::make_unique<Actor>(static_cast<int>(i), std::move(bodies[i]),
+                                              i < names.size() ? std::move(names[i])
+                                                               : std::string{}));
   }
+  for (auto& a : actors_) schedule(*a, now_);
   live_actors_ = static_cast<int>(actors_.size());
 
-  // Spawn threads; each parks immediately until it receives the token.
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    actors_[i]->thread = std::thread([this, i] { actor_main(static_cast<int>(i)); });
-  }
-
-  // Hand the token to the first actor and wait for the whole cohort.
-  Actor* first = pick_next_locked();
+  Fiber caller;
+  caller_ = &caller;
+  tls.engine = this;
+  Actor* first = pick_next();
   assert(first != nullptr);
-  wake_locked(*first);
-  run_cv_.wait(lk, [this] { return live_actors_ == 0; });
+  ++context_switches_;
+  switch_to(caller, *first, first->id);
 
-  lk.unlock();
+  // Back here once every actor has finished, or once a shutdown left
+  // blocked actors with nothing runnable: resume each in turn so it unwinds
+  // with SimulationAborted and its destructors run.
   for (auto& a : actors_) {
-    if (a->thread.joinable()) a->thread.join();
+    if (a->state != State::kDone) switch_to(caller, *a, a->id);
   }
-  lk.lock();
+  tls.engine = nullptr;
+  caller_ = nullptr;
+  for (auto& a : actors_) a->release_stack();
 
   if (first_error_) {
     auto err = first_error_;
@@ -96,47 +225,75 @@ void Engine::run(std::vector<std::function<void()>> bodies, std::vector<std::str
   }
 }
 
-void Engine::actor_main(int id) {
-  tls.engine = this;
-  tls.actor_id = id;
-  Actor& self = *actors_[static_cast<std::size_t>(id)];
+void Engine::switch_to(Fiber& from, Fiber& to, int to_id, bool from_exits) {
+  tls.actor_id = to_id;
+  EhGlobals& eh = eh_globals();
+  from.eh = eh;
+  eh = to.eh;
+#ifdef STENCIL_ASAN
+  __sanitizer_start_switch_fiber(from_exits ? nullptr : &from.asan_fake_stack, to.stack_lo,
+                                 to.stack_size);
+#else
+  (void)from_exits;
+#endif
+  swap_context()(&from.ctx, &to.ctx);
+  // Resumed: whoever switched back here has already restored our state.
+#ifdef STENCIL_ASAN
+  __sanitizer_finish_switch_fiber(from.asan_fake_stack, nullptr, nullptr);
+#endif
+}
 
-  {
-    // Park until the scheduler grants the token the first time.
-    std::unique_lock<std::mutex> lk(mu_);
-    self.cv.wait(lk, [&] { return self.token; });
-    self.token = false;
-    self.state = State::kRunning;
+void Engine::fiber_entry() {
+  Engine& eng = *tls.engine;
+  Actor& self = eng.calling_actor();
+#ifdef STENCIL_ASAN
+  // The first fiber of a run is entered from the run() caller: learn its
+  // stack so later switches back to it can be announced.
+  const void* from_lo = nullptr;
+  std::size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(nullptr, &from_lo, &from_size);
+  if (eng.caller_->stack_size == 0) {
+    eng.caller_->stack_lo = from_lo;
+    eng.caller_->stack_size = from_size;
   }
+#endif
+  eng.actor_main(self);
+}
 
-  std::exception_ptr err;
-  if (!shutdown_) {
-    try {
-      self.body();
-    } catch (const SimulationAborted&) {
-      // Unwinding due to another actor's failure; not a new error.
-    } catch (...) {
-      err = std::current_exception();
-    }
-  }
-
-  std::unique_lock<std::mutex> lk(mu_);
-  if (err) begin_shutdown_locked(err);
-  self.state = State::kDone;
+void Engine::actor_main(Actor& self) {
+  set_state(self, State::kRunning);
+  run_body(self);
+  set_state(self, State::kDone);
   --live_actors_;
-  if (live_actors_ == 0) {
-    run_cv_.notify_all();
-  } else {
-    Actor* next = pick_next_locked();
-    if (next != nullptr) {
-      wake_locked(*next);
-    } else if (!shutdown_) {
-      // Every remaining actor is gate-blocked: they can never wake.
-      report_deadlock_locked();
+  if (live_actors_ > 0) {
+    if (Actor* next = pick_next()) {
+      ++context_switches_;
+      switch_to(self, *next, next->id, /*from_exits=*/true);
+    }
+    // Every remaining actor is gate-blocked: they can never wake. Nothing
+    // may propagate out of a fiber, so a throwing watchdog becomes the error.
+    if (!shutdown_) {
+      try {
+        report_deadlock();
+      } catch (...) {
+        begin_shutdown(std::current_exception());
+      }
     }
   }
-  tls.engine = nullptr;
-  tls.actor_id = -1;
+  switch_to(self, *caller_, -1, /*from_exits=*/true);
+}
+
+void Engine::run_body(Actor& self) {
+  // This fiber never returns, so every object with a destructor must live
+  // and die in here, before actor_main() switches away for good.
+  if (shutdown_) return;  // started only to be unwound
+  try {
+    self.body();
+  } catch (const SimulationAborted&) {
+    // Unwinding due to another actor's failure; not a new error.
+  } catch (...) {
+    begin_shutdown(std::current_exception());
+  }
 }
 
 void Engine::sleep_for(Duration d) {
@@ -146,71 +303,64 @@ void Engine::sleep_for(Duration d) {
 
 void Engine::sleep_until(Time t) {
   check_in_actor();
-  std::unique_lock<std::mutex> lk(mu_);
   if (shutdown_) throw SimulationAborted("simulation aborted during sleep");
   if (t <= now_) return;
-  Actor& self = *actors_[static_cast<std::size_t>(tls.actor_id)];
-  self.wake_time = t;
-  self.seq = next_seq_++;
-  block_and_reschedule(lk, self, State::kTimed);
+  Actor& self = calling_actor();
+  schedule(self, t);
+  block(self);
 }
 
 void Engine::yield() {
   check_in_actor();
-  std::unique_lock<std::mutex> lk(mu_);
   if (shutdown_) throw SimulationAborted("simulation aborted during yield");
-  Actor& self = *actors_[static_cast<std::size_t>(tls.actor_id)];
-  self.wake_time = now_;
-  self.seq = next_seq_++;  // go to the back of the same-time queue
-  block_and_reschedule(lk, self, State::kTimed);
+  Actor& self = calling_actor();
+  schedule(self, now_);  // go to the back of the same-time queue
+  block(self);
 }
 
-void Engine::block_and_reschedule(std::unique_lock<std::mutex>& lk, Actor& self, State state) {
-  self.state = state;
-  Actor* next = pick_next_locked();
-  if (next == &self) {
-    // Fast path: we are still the best candidate; keep the token without a
-    // thread handoff.
-    self.state = State::kRunning;
-    return;
+void Engine::schedule(Actor& a, Time t) {
+  a.wake_time = t;
+  a.seq = next_seq_++;
+  set_state(a, State::kTimed);
+  run_queue_.push_back(Wakeup{t, a.seq, &a});
+  std::push_heap(run_queue_.begin(), run_queue_.end(), later);
+}
+
+void Engine::set_state(Actor& a, State s) {
+  if (a.state == State::kTimed) --timed_actors_;
+  if (s == State::kTimed) ++timed_actors_;
+  a.state = s;
+}
+
+void Engine::block(Actor& self) {
+  Actor* next = pick_next();
+  if (next == nullptr) {
+    report_deadlock();
+  } else if (next != &self) {
+    ++context_switches_;
+    switch_to(self, *next, next->id);
   }
-  if (next != nullptr) {
-    wake_locked(*next);
-  } else if (!shutdown_) {
-    report_deadlock_locked();
-  }
-  self.cv.wait(lk, [&] { return self.token; });
-  self.token = false;
-  self.state = State::kRunning;
+  // else fast path: we are still the best candidate; no handoff.
+  set_state(self, State::kRunning);
   if (shutdown_) throw SimulationAborted("simulation aborted while blocked");
 }
 
-Engine::Actor* Engine::pick_next_locked() {
-  Actor* best = nullptr;
-  std::size_t queued = 0;
-  for (const auto& a : actors_) {
-    if (a->state != State::kTimed) continue;
-    ++queued;
-    if (best == nullptr || a->wake_time < best->wake_time ||
-        (a->wake_time == best->wake_time && a->seq < best->seq)) {
-      best = a.get();
-    }
-  }
-  if (best != nullptr) {
+Engine::Actor* Engine::pick_next() {
+  while (!run_queue_.empty()) {
+    std::pop_heap(run_queue_.begin(), run_queue_.end(), later);
+    const Wakeup w = run_queue_.back();
+    run_queue_.pop_back();
+    Actor& a = *w.actor;
+    if (a.state != State::kTimed || a.seq != w.seq) continue;  // stale entry
     ++events_processed_;
-    if (queued > max_run_queue_depth_) max_run_queue_depth_ = queued;
-    if (best->wake_time > now_) now_ = best->wake_time;
+    max_run_queue_depth_ = std::max(max_run_queue_depth_, timed_actors_);
+    if (a.wake_time > now_) now_ = a.wake_time;
+    return &a;
   }
-  return best;
+  return nullptr;
 }
 
-void Engine::wake_locked(Actor& a) {
-  ++context_switches_;
-  a.token = true;
-  a.cv.notify_one();
-}
-
-void Engine::report_deadlock_locked() {
+void Engine::report_deadlock() {
   DeadlockReport rep;
   rep.at = now_;
   for (const auto& a : actors_) {
@@ -220,38 +370,29 @@ void Engine::report_deadlock_locked() {
                                           a->block_detail, a->blocked_at});
   }
   if (watchdog_) watchdog_(rep);
-  begin_shutdown_locked(std::make_exception_ptr(DeadlockError(std::move(rep))));
+  begin_shutdown(std::make_exception_ptr(DeadlockError(std::move(rep))));
 }
 
-void Engine::begin_shutdown_locked(std::exception_ptr err) {
-  if (!first_error_) first_error_ = err;
-  if (shutdown_) return;
+void Engine::begin_shutdown(std::exception_ptr err) {
+  if (!first_error_) first_error_ = std::move(err);
   shutdown_ = true;
-  // Release every blocked actor so it can unwind with SimulationAborted.
-  for (const auto& a : actors_) {
-    if (a->state == State::kTimed || a->state == State::kGateBlocked) {
-      a->token = true;
-      a->cv.notify_one();
-    }
-  }
 }
 
 void Engine::set_block_detail(std::string detail) {
   check_in_actor();
-  std::unique_lock<std::mutex> lk(mu_);
-  actors_[static_cast<std::size_t>(tls.actor_id)]->block_detail = std::move(detail);
+  calling_actor().block_detail = std::move(detail);
 }
 
 void Gate::wait(Engine& eng, std::string detail) {
   eng.check_in_actor();
-  std::unique_lock<std::mutex> lk(eng.mu_);
   if (eng.shutdown_) throw SimulationAborted("simulation aborted during gate wait");
-  Engine::Actor& self = *eng.actors_[static_cast<std::size_t>(tls.actor_id)];
+  Engine::Actor& self = eng.calling_actor();
   self.gate = this;
   if (!detail.empty()) self.block_detail = std::move(detail);
   self.blocked_at = eng.now_;
   waiters_.push_back(&self);
-  eng.block_and_reschedule(lk, self, Engine::State::kGateBlocked);
+  eng.set_state(self, Engine::State::kGateBlocked);
+  eng.block(self);
   self.gate = nullptr;
   // NOTE: notify_all() removes us from waiters_; if we are unwinding due to
   // shutdown we may still be registered, which is harmless.
@@ -259,20 +400,18 @@ void Gate::wait(Engine& eng, std::string detail) {
 
 bool Gate::wait_until(Engine& eng, Time deadline, std::string detail) {
   eng.check_in_actor();
-  std::unique_lock<std::mutex> lk(eng.mu_);
   if (eng.shutdown_) throw SimulationAborted("simulation aborted during gate wait");
   if (deadline <= eng.now_) return false;  // already expired; caller re-checks
-  Engine::Actor& self = *eng.actors_[static_cast<std::size_t>(tls.actor_id)];
+  Engine::Actor& self = eng.calling_actor();
   self.gate = this;
   if (!detail.empty()) self.block_detail = std::move(detail);
   self.blocked_at = eng.now_;
   self.gate_notified = false;
-  self.wake_time = deadline;
-  self.seq = eng.next_seq_++;
   waiters_.push_back(&self);
   // Timed, not gate-blocked: the deadline guarantees a wakeup, so this
   // waiter never participates in a deadlock.
-  eng.block_and_reschedule(lk, self, Engine::State::kTimed);
+  eng.schedule(self, deadline);
+  eng.block(self);
   const bool notified = self.gate_notified;
   if (!notified) {
     waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), &self), waiters_.end());
@@ -283,13 +422,11 @@ bool Gate::wait_until(Engine& eng, Time deadline, std::string detail) {
 
 void Gate::notify_all(Engine& eng) {
   eng.check_in_actor();
-  std::unique_lock<std::mutex> lk(eng.mu_);
   for (Engine::Actor* a : waiters_) {
     if (a->state == Engine::State::kGateBlocked || a->state == Engine::State::kTimed) {
-      a->state = Engine::State::kTimed;
-      a->wake_time = eng.now_;
-      a->seq = eng.next_seq_++;
       a->gate_notified = true;
+      // Re-keying a timed waiter leaves its deadline entry stale in the heap.
+      eng.schedule(*a, eng.now_);
     }
   }
   waiters_.clear();

@@ -1,14 +1,12 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simtime/time.h"
@@ -57,20 +55,20 @@ class DeadlockError : public std::runtime_error {
 
 /// Deterministic discrete-event virtual-time engine.
 ///
-/// Each *actor* (e.g. a simulated MPI rank) is an OS thread, but exactly one
-/// actor runs at a time: when the running actor blocks (sleep_until, Gate
-/// wait, or finishing), it selects the next actor under a global mutex and
-/// hands the token over. Selection is by (wake_time, admission sequence), so
-/// a given program produces a bit-identical schedule on every run regardless
-/// of OS thread timing.
+/// Each *actor* (e.g. a simulated MPI rank) is a stackful fiber on the
+/// thread that calls run(), so exactly one actor runs at a time: when the
+/// running actor blocks (sleep_until, Gate wait, or finishing), it picks the
+/// next actor from a run queue ordered by (wake_time, admission sequence)
+/// and switches straight to it. A given program therefore produces a
+/// bit-identical schedule on every run.
 ///
 /// Virtual time is global and monotonically non-decreasing. Code executed by
 /// an actor between engine calls takes zero virtual time; model CPU cost by
 /// calling sleep_for() explicitly.
 class Engine {
  public:
-  Engine() = default;
-  ~Engine() = default;
+  Engine();
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -102,19 +100,20 @@ class Engine {
   /// immediately without rescheduling.
   void sleep_until(Time t);
 
-  /// Hand the token to other actors runnable at the current virtual time,
-  /// resuming after they have each had a turn.
+  /// Let the other actors runnable at the current virtual time each have a
+  /// turn, then resume.
   void yield();
 
-  /// Engine driving the calling thread, or nullptr outside actor bodies.
+  /// Engine running the calling actor, or nullptr outside actor bodies.
   static Engine* current();
 
-  /// Number of token handoffs performed so far (scheduling cost metric).
+  /// Number of handoffs from one actor to another performed so far
+  /// (scheduling cost metric).
   std::uint64_t context_switches() const { return context_switches_; }
 
   /// Number of scheduling decisions made so far: every time the engine
   /// picked the next actor to run, including same-actor fast paths that
-  /// avoid a thread handoff. The discrete-event analogue of "events
+  /// avoid a handoff. The discrete-event analogue of "events
   /// processed".
   std::uint64_t events_processed() const { return events_processed_; }
 
@@ -139,9 +138,9 @@ class Engine {
   void set_block_detail(std::string detail);
 
   /// Observer invoked with the diagnostic just before a detected deadlock
-  /// aborts the simulation. Runs under the engine lock on the detecting
-  /// actor's thread: it must only inspect/copy the report, never call back
-  /// into the engine.
+  /// aborts the simulation. Runs inside the detecting actor, in the middle
+  /// of a scheduling decision: it must only inspect/copy the report, never
+  /// call back into the engine.
   void set_watchdog(std::function<void(const DeadlockReport&)> cb) {
     watchdog_ = std::move(cb);
   }
@@ -150,45 +149,49 @@ class Engine {
   friend class Gate;
 
   enum class State {
-    kRunning,        // holds the token
+    kRunning,        // the one actor executing
     kTimed,          // wake at wake_time
     kGateBlocked,    // waiting on a Gate, no wakeup time
     kDone,
-    kUnstarted,
   };
 
-  struct Actor {
-    std::function<void()> body;
-    std::string name;
-    std::thread thread;
-    std::condition_variable cv;
-    State state = State::kUnstarted;
-    Time wake_time = 0;
-    std::uint64_t seq = 0;  // admission order for same-time tie-breaks
-    bool token = false;     // set by the scheduler; cleared on wakeup
-    Gate* gate = nullptr;   // which gate, when kGateBlocked (diagnostics)
-    bool gate_notified = false;  // wait_until: woken by notify, not timeout
-    std::string block_detail;    // caller-supplied reason for the block
-    Time blocked_at = 0;
+  struct Fiber;  // a machine context plus its saved C++ exception state
+  struct Actor;  // a Fiber with its stack, body, and schedule state
+
+  // One run-queue entry. An actor owns exactly one live entry while kTimed;
+  // re-keying it (Gate::notify_all) leaves the old entry stale in place.
+  struct Wakeup {
+    Time at;
+    std::uint64_t seq;
+    Actor* actor;
   };
 
-  void actor_main(int id);
-  // Move the calling actor to `state`, pick and wake the next actor, and
-  // block until the token returns. Must be entered with mu_ held.
-  void block_and_reschedule(std::unique_lock<std::mutex>& lk, Actor& self, State state);
-  // Pick the next runnable actor (min wake_time, then min seq); advances
+  static void fiber_entry();
+  void actor_main(Actor& self);
+  void run_body(Actor& self);
+  // Give `a` a fresh (t, seq) key and queue it as kTimed.
+  void schedule(Actor& a, Time t);
+  void set_state(Actor& a, State s);
+  // The calling actor has just left kRunning: run other actors until it is
+  // picked again. Throws SimulationAborted if the engine shut down meanwhile.
+  void block(Actor& self);
+  // Pop the runnable actor with the least (wake_time, seq); advances
   // virtual time. Returns nullptr when no actor can run.
-  Actor* pick_next_locked();
-  void wake_locked(Actor& a);
-  void begin_shutdown_locked(std::exception_ptr err);
+  Actor* pick_next();
+  // Suspend `from` and resume `to` (actor id `to_id`, -1 for the caller of
+  // run()). `from_exits` marks a finished actor that is never resumed.
+  void switch_to(Fiber& from, Fiber& to, int to_id, bool from_exits = false);
+  void begin_shutdown(std::exception_ptr err);
   // Build the diagnostic over gate-blocked actors, feed the watchdog, and
   // begin shutdown with a DeadlockError.
-  void report_deadlock_locked();
+  void report_deadlock();
   void check_in_actor() const;
+  Actor& calling_actor();
 
-  mutable std::mutex mu_;
-  std::condition_variable run_cv_;  // run() waits here for completion
   std::vector<std::unique_ptr<Actor>> actors_;
+  std::vector<Wakeup> run_queue_;  // min-heap on (at, seq), stale entries skipped
+  std::size_t timed_actors_ = 0;
+  Fiber* caller_ = nullptr;        // context of the run() caller
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t context_switches_ = 0;

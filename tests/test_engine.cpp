@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,16 +122,41 @@ TEST(Engine, ExceptionInActorPropagatesToRun) {
   EXPECT_THROW(eng.run({[] { throw std::runtime_error("boom"); }}), std::runtime_error);
 }
 
+namespace {
+// Counts destructor runs, to prove an aborted actor's stack was unwound.
+struct DtorCounter {
+  int* count;
+  ~DtorCounter() { ++*count; }
+};
+
+// Runs `fn` from its destructor.
+template <typename Fn>
+struct OnScopeExit {
+  Fn fn;
+  ~OnScopeExit() { fn(); }
+};
+template <typename Fn>
+OnScopeExit(Fn) -> OnScopeExit<Fn>;
+}  // namespace
+
 TEST(Engine, ExceptionAbortsOtherActors) {
   sim::Engine eng;
+  sim::Gate gate("never");
   bool other_finished_normally = false;
+  int dtors = 0;
   try {
     eng.run({[] {
                sim::Engine::current()->sleep_for(10);
                throw std::runtime_error("boom");
              },
              [&] {
+               DtorCounter c{&dtors};
                sim::Engine::current()->sleep_for(1000000);
+               other_finished_normally = true;
+             },
+             [&] {
+               DtorCounter c{&dtors};
+               gate.wait(*sim::Engine::current(), "forever");
                other_finished_normally = true;
              }});
     FAIL() << "expected throw";
@@ -137,6 +164,168 @@ TEST(Engine, ExceptionAbortsOtherActors) {
     EXPECT_STREQ(e.what(), "boom");
   }
   EXPECT_FALSE(other_finished_normally);
+  EXPECT_EQ(dtors, 2);
+}
+
+TEST(Engine, DeadlockUnwindsBlockedActors) {
+  sim::Engine eng;
+  sim::Gate gate("never");
+  int dtors = 0;
+  auto body = [&] {
+    DtorCounter c{&dtors};
+    gate.wait(*sim::Engine::current());
+  };
+  EXPECT_THROW(eng.run({body, body, body}), sim::DeadlockError);
+  EXPECT_EQ(dtors, 3);
+}
+
+TEST(Engine, CaughtExceptionStateIsPerActor) {
+  // Both actors block inside their own catch handler while the other's
+  // handler is open; after resuming, `throw;` must rethrow the actor's own
+  // exception, and leaving one handler must not pop the other's.
+  sim::Engine eng;
+  sim::Gate gate("flag");
+  bool flag = false;
+  std::vector<std::string> rethrown(2);
+  std::vector<int> uncaught(2, -1);
+  auto check = [&](int id) {
+    uncaught[static_cast<std::size_t>(id)] = std::uncaught_exceptions();
+    try {
+      throw;
+    } catch (const std::runtime_error& again) {
+      rethrown[static_cast<std::size_t>(id)] = again.what();
+    }
+  };
+  eng.run({[&] {
+             try {
+               throw std::runtime_error("actor0");
+             } catch (const std::runtime_error&) {
+               while (!flag) gate.wait(*sim::Engine::current(), "flag");
+               check(0);
+             }
+           },
+           [&] {
+             auto* e = sim::Engine::current();
+             try {
+               throw std::runtime_error("actor1");
+             } catch (const std::runtime_error&) {
+               e->sleep_for(5);
+               flag = true;
+               gate.notify_all(*e);
+               e->sleep_for(5);
+               check(1);
+             }
+           }});
+  EXPECT_EQ(rethrown, (std::vector<std::string>{"actor0", "actor1"}));
+  EXPECT_EQ(uncaught, (std::vector<int>{0, 0}));
+}
+
+TEST(Engine, UncaughtExceptionCountIsPerActor) {
+  // Actor 0 blocks in a destructor while its exception propagates; actor 1
+  // runs meanwhile and must not see that in-flight exception.
+  sim::Engine eng;
+  std::vector<int> seen;
+  eng.run({[&] {
+             auto* e = sim::Engine::current();
+             try {
+               OnScopeExit guard{[&] {
+                 seen.push_back(std::uncaught_exceptions());
+                 e->sleep_for(10);
+                 seen.push_back(std::uncaught_exceptions());
+               }};
+               throw std::runtime_error("unwinding");
+             } catch (const std::runtime_error&) {
+               seen.push_back(std::uncaught_exceptions());
+             }
+           },
+           [&] {
+             auto* e = sim::Engine::current();
+             e->sleep_for(5);
+             seen.push_back(10 + std::uncaught_exceptions());
+           }});
+  EXPECT_EQ(seen, (std::vector<int>{1, 10, 1, 0}));
+}
+
+TEST(Engine, GoldenMixedSchedule) {
+  // Pins the exact schedule of a program that mixes every blocking call:
+  // sleep_for/sleep_until, yield, Gate::wait, and Gate::wait_until both
+  // timing out and notified before its deadline (which re-keys a timed
+  // waiter). The log and counters below are the reference schedule.
+  sim::Engine eng;
+  sim::Gate ga("a");
+  sim::Gate gb("b");
+  bool ready = false;
+  std::vector<std::string> log;
+  auto note = [&](const std::string& what) {
+    auto* e = sim::Engine::current();
+    log.push_back(e->actor_name() + "@" + std::to_string(e->now()) + " " + what);
+  };
+  eng.run(
+      {[&] {
+         auto* e = sim::Engine::current();
+         note("start");
+         e->sleep_for(10);
+         note("slept");
+         e->yield();
+         note("yielded");
+         e->sleep_until(30);
+         ready = true;
+         ga.notify_all(*e);
+         note("notified a");
+         e->sleep_for(5);
+         gb.notify_all(*e);
+         note("notified b");
+       },
+       [&] {
+         auto* e = sim::Engine::current();
+         note("start");
+         while (!ready) ga.wait(*e, "ready");
+         note("woke");
+         e->yield();
+         note("yielded");
+       },
+       [&] {
+         auto* e = sim::Engine::current();
+         note("start");
+         const bool n = gb.wait_until(*e, 20, "short");
+         note(n ? "notified" : "timed out");
+         e->sleep_for(3);
+         note("slept");
+         e->sleep_until(1500);  // between long's stale deadline and its wakeup
+         note("late");
+       },
+       [&] {
+         auto* e = sim::Engine::current();
+         note("start");
+         const bool n = gb.wait_until(*e, 1000, "long");
+         note(n ? "notified" : "timed out");
+         e->sleep_for(2000);  // outlives the stale entry at its old deadline
+         note("slept");
+       },
+       [&] {
+         auto* e = sim::Engine::current();
+         e->sleep_for(30);
+         for (int i = 0; i < 3; ++i) {
+           note("spin");
+           e->yield();
+         }
+         note("done");
+       }},
+      {"sleeper", "waiter", "short", "long", "yielder"});
+  const std::vector<std::string> expect = {
+      "sleeper@0 start",      "waiter@0 start",     "short@0 start",
+      "long@0 start",         "sleeper@10 slept",   "sleeper@10 yielded",
+      "short@20 timed out",   "short@23 slept",     "yielder@30 spin",
+      "sleeper@30 notified a", "yielder@30 spin",   "waiter@30 woke",
+      "yielder@30 spin",      "waiter@30 yielded",  "yielder@30 done",
+      "sleeper@35 notified b", "long@35 notified",  "short@1500 late",
+      "long@2035 slept",
+  };
+  EXPECT_EQ(log, expect);
+  EXPECT_EQ(eng.now(), 2035);
+  EXPECT_EQ(eng.context_switches(), 18u);
+  EXPECT_EQ(eng.events_processed(), 20u);
+  EXPECT_EQ(eng.max_run_queue_depth(), 5u);
 }
 
 TEST(Engine, GateWaitAndNotify) {
@@ -171,6 +360,33 @@ TEST(Engine, GateDeadlockAmongSeveralActors) {
                         [&] { gate.wait(*sim::Engine::current()); },
                         [&] { sim::Engine::current()->sleep_for(5); }}),
                sim::DeadlockError);
+}
+
+TEST(Engine, StaleWakeupsNeitherCountNorAdvanceTime) {
+  // Each notify re-keys a timed waiter and strands its deadline entry in
+  // the run queue. Those entries must not deepen the queue, wake anyone, or
+  // move virtual time once the run drains them.
+  sim::Engine eng;
+  sim::Gate gate("tick");
+  int notified = 0;
+  eng.run({[&] {
+             auto* e = sim::Engine::current();
+             for (int i = 0; i < 10; ++i) {
+               if (gate.wait_until(*e, e->now() + 1000, "tick")) ++notified;
+             }
+           },
+           [&] {
+             auto* e = sim::Engine::current();
+             for (int i = 0; i < 10; ++i) {
+               e->sleep_for(1);
+               gate.notify_all(*e);
+             }
+           }});
+  EXPECT_EQ(notified, 10);
+  EXPECT_EQ(eng.now(), 10);
+  EXPECT_EQ(eng.max_run_queue_depth(), 2u);
+  EXPECT_EQ(eng.context_switches(), 21u);
+  EXPECT_EQ(eng.events_processed(), 22u);
 }
 
 TEST(Engine, CallsOutsideActorThrow) {

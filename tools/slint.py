@@ -16,8 +16,9 @@ Rules (each a regex over comment- and string-stripped source):
                   profiling only) are the sanctioned clocks.
   libc-rand       rand()/srand() — unseeded global state; use a seeded
                   std::mt19937 so failures reproduce.
-  raw-thread      std::thread/std::jthread outside src/simtime — actors must
-                  be scheduled by sim::Engine, never by the OS.
+  raw-thread      std::thread/std::jthread — actors must be scheduled by
+                  sim::Engine, never by the OS. The engine itself runs
+                  every actor as a fiber on one thread, so no file is exempt.
 
 Suppression: append `// slint: allow(<rule>)` to the offending line. The
 lint reports the rule name so the suppression is greppable and auditable.
@@ -39,8 +40,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_PATHS = ["src", "tests", "bench", "examples"]
 SOURCE_SUFFIXES = {".cpp", ".h", ".hpp", ".cc", ".cu", ".cuh"}
 
-# (name, regex, explanation, path-predicate). The predicate receives the
-# repo-relative posix path and returns True when the rule applies there.
+# (name, regex, explanation). Every rule applies to every scanned file.
 RULES = [
     (
         "os-sleep",
@@ -49,13 +49,11 @@ RULES = [
             r"|(?<![\w:.])(sleep|usleep|nanosleep)\s*\("
         ),
         "OS sleep stalls the virtual clock; use sim::Engine::sleep_for",
-        lambda p: not p.startswith("src/simtime/"),
     ),
     (
         "wall-clock",
         re.compile(r"std::chrono::system_clock"),
         "wall time is nondeterministic; use sim::now() or steady_clock",
-        lambda p: not p.startswith("src/simtime/"),
     ),
     (
         "libc-rand",
@@ -63,13 +61,11 @@ RULES = [
         # qualified names (foo::rand) are someone's own RNG, not libc's.
         re.compile(r"(?:(?<![\w:.])|(?<=std::))s?rand\s*\("),
         "global libc RNG is unseedable per-test; use a seeded std::mt19937",
-        lambda p: True,
     ),
     (
         "raw-thread",
         re.compile(r"std::j?thread\b"),
         "OS threads bypass the simulator; actors belong to sim::Engine",
-        lambda p: not p.startswith("src/simtime/"),
     ),
 ]
 
@@ -111,9 +107,7 @@ def lint_file(path: pathlib.Path, rel: str) -> list[str]:
         allowed = (
             {r.strip() for r in allow_m.group(1).split(",")} if allow_m else set()
         )
-        for name, rx, why, applies in RULES:
-            if not applies(rel):
-                continue
+        for name, rx, why in RULES:
             if name in allowed:
                 continue
             m = rx.search(line)
@@ -131,7 +125,7 @@ def main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
 
     if args.list_rules:
-        for name, _, why, _ in RULES:
+        for name, _, why in RULES:
             print(f"{name}: {why}")
         return 0
 
