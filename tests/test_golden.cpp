@@ -28,6 +28,10 @@ struct GoldenCase {
   double expect_ms;
 };
 
+// Print the case by name: gtest's default byte dump would include the address
+// of `name`, so the registered test names would change with every process.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
 double measure(const GoldenCase& c) {
   Cluster cluster(stencil::topo::summit(), c.nodes, c.rpn);
   cluster.set_mem_mode(stencil::vgpu::MemMode::kPhantom);
