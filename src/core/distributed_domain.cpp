@@ -37,6 +37,19 @@ std::string dir_str(Dim3 d) {
   return std::string(c(d.x)) + c(d.y) + c(d.z);
 }
 
+/// Re-arm a persistent request; returns its handle.
+simpi::Request restart(simpi::Comm& comm, simpi::Request& r) {
+  comm.start(r);
+  return r;
+}
+
+/// Capture the stream work `emit` issues into an instantiated graph.
+vgpu::GraphExec capture(vgpu::Runtime& rt, const std::function<void()>& emit) {
+  rt.begin_capture();
+  emit();
+  return rt.instantiate(rt.end_capture());
+}
+
 }  // namespace
 
 DistributedDomain::~DistributedDomain() = default;
@@ -634,136 +647,266 @@ void DistributedDomain::exchange_start(const std::vector<std::size_t>& quantitie
   auto& comm = ctx_.comm;
   auto& rt = ctx_.rt;
 
-  // Planned mode: replay (or first compile, then replay) the frozen
-  // schedule for this configuration instead of interpreting the phases.
-  if (persistent_) {
-    planned_start(acquire_plan());
-    return;
+  // One walk over the phases for both modes. Persistent mode replays (first
+  // compiling, on a miss) the frozen schedule for this configuration: each
+  // phase re-arms a persistent request or launches a captured graph where
+  // eager mode posts a fresh request or calls the emitter the graph was
+  // captured from. Programs are index-aligned with xfers_ and groups.
+  cur_plan_ = persistent_ ? &acquire_plan() : nullptr;
+  plan::CompiledPlan* const p = cur_plan_;
+  if (p != nullptr) {
+    ++p->replays;
+    ++plan_cache_.stats().replays;
+    telemetry_.on_plan_event("replay");
   }
 
   // --- Phase 0: post every MPI receive up front (maximizes matching). ----
-  std::vector<simpi::Request>& recv_reqs = inflight_.recv_reqs;
-  auto& recv_map = inflight_.recv_map;
-  for (auto& gp : recv_groups_) {  // aggregated STAGED receives, one per peer
-    gp->req = comm.irecv(simpi::Payload::of(gp->host, 0, gp->active_bytes), gp->peer_rank,
-                         agg_tag(comm, gp->peer_rank));
-    recv_reqs.push_back(gp->req);
-    recv_map.emplace_back(nullptr, gp.get());
+  for (std::size_t i = 0; i < recv_groups_.size(); ++i) {  // aggregated, one per peer
+    AggGroup& g = *recv_groups_[i];
+    inflight_.recv_reqs.push_back(
+        p != nullptr ? restart(comm, p->recv_groups[i].req)
+                     : comm.irecv(g.payload(), g.peer_rank, agg_tag(comm, g.peer_rank)));
+    inflight_.landings.push_back({i, true});
   }
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (!x.i_recv) continue;
-    if (x.t.method == Method::kStaged && !x.aggregated) {
-      x.recv_req =
-          comm.irecv(simpi::Payload::of(x.dst_host, 0, x.active_bytes), x.t.src_rank, x.t.tag);
-      recv_reqs.push_back(x.recv_req);
-      recv_map.emplace_back(&x, nullptr);
-    } else if (x.t.method == Method::kCudaAwareMpi) {
-      x.recv_req =
-          comm.irecv(simpi::Payload::of(x.dst_pack, 0, x.active_bytes), x.t.src_rank, x.t.tag);
-      recv_reqs.push_back(x.recv_req);
-      recv_map.emplace_back(&x, nullptr);
-    }
+  for (std::size_t i = 0; i < xfers_.size(); ++i) {
+    TransferState& x = *xfers_[i];
+    if (!x.receives_message()) continue;
+    inflight_.recv_reqs.push_back(p != nullptr
+                                      ? restart(comm, p->programs[i].recv_req)
+                                      : comm.irecv(x.recv_payload(), x.t.src_rank, x.t.tag));
+    inflight_.landings.push_back({i, false});
   }
 
   // --- Phase 1: pure-CUDA local transfers (KERNEL, PEER). ----------------
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.t.method == Method::kKernel && x.i_send) {
-      rt.launch_kernel(x.src_stream, x.active_bytes, "self " + dir_str(x.t.dir),
-                       [&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); },
-                       self_access(x));
-    } else if (x.t.method == Method::kPeer) {
-      // Pack-free path (§VI): a strided copy straight into the neighbor's
-      // halo, when configured — and under kAuto, whenever the modeled
-      // strided time beats pack kernel + dense copy + unpack kernel.
-      if (peer_use_3d(x)) {
-        for (std::size_t q : active_qs_) {
-          const std::size_t qbytes = static_cast<std::size_t>(x.src_region.volume()) *
-                                     quantities_[q].elem_size;
-          rt.memcpy3d_peer_async(
-              x.t.dst_gpu, x.t.src_gpu, qbytes, x.src_ld->row_bytes(x.src_region, q),
-              x.src_stream, "3d " + dir_str(x.t.dir),
-              [&x, q] {
-                LocalDomain::copy_region(*x.src_ld, x.src_region, *x.dst_ld, x.dst_region, q);
-              },
-              copy3d_access(x, q));
-        }
-        vgpu::Event copied;
-        rt.record_event(copied, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, copied);
-      } else {
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.memcpy_peer_async(x.dst_pack, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-        vgpu::Event copied;
-        rt.record_event(copied, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, copied);
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-      }
+  for (std::size_t i = 0; i < xfers_.size(); ++i) {
+    TransferState& x = *xfers_[i];
+    if (!x.is_local_work()) continue;
+    if (p != nullptr) {
+      rt.launch_graph(p->programs[i].send_graph);
+    } else {
+      emit_local(x);
     }
   }
 
   // --- Phase 2: COLOCATED senders (pure CUDA after the setup handshake). -
+  // Interpreted in both modes: the IPC flow control waits on the channel's
+  // generation counter, which a frozen node sequence cannot express. A stale
+  // mapping demotes the transfer (dirtying its program for the next
+  // acquire) and queues this generation's send as a fallback.
   for (auto& xp : xfers_) {
     TransferState& x = *xp;
-    if (x.t.method != Method::kColocated || !x.i_send) continue;
-    colocated_send(x);
+    if (x.t.method == Method::kColocated && x.i_send) colocated_send(x);
   }
 
   // --- Phase 3: STAGED / CUDA-aware senders enqueue pack (+ D2H). --------
-  auto& pending = inflight_.pending_sends;
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (!x.i_send) continue;
-    if (x.handled_seq == seq_) continue;  // COLOCATED fallback already queued it
-    if (x.t.method == Method::kStaged && !x.aggregated) {
-      if (staged_zero_copy_) {
-        // Zero-copy pack (§VI/[18]): the kernel's stores land directly in
-        // the pinned staging buffer — no separate D2H step.
-        rt.launch_zero_copy_kernel(
-            x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-            [&x, this] { x.src_ld->pack_region(x.src_host, x.src_region, active_qs_); },
-            pack_access(x, x.src_host));
-      } else {
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.memcpy_async(x.src_host, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-      }
-      rt.record_event(x.ready_ev, x.src_stream);
-      pending.emplace_back(x.ready_ev.completed_at, &x);
-    } else if (x.t.method == Method::kCudaAwareMpi) {
-      rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                       [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                       pack_access(x, x.src_pack));
-      rt.record_event(x.ready_ev, x.src_stream);
-      pending.emplace_back(x.ready_ev.completed_at, &x);
+  for (std::size_t i = 0; i < xfers_.size(); ++i) {
+    TransferState& x = *xfers_[i];
+    if (!x.sends_message() || x.handled_seq == seq_) continue;  // fallback already queued
+    if (p != nullptr) {
+      rt.launch_graph(p->programs[i].send_graph);
+    } else {
+      emit_pack(x, x.src_host, 0);
+      inflight_.pending_sends.emplace_back(x.ready_ev.completed_at, &x);
     }
   }
   // Aggregated STAGED sends: every member packs and stages into its slot of
   // the shared buffer; the group is ready when its slowest member is.
-  for (auto& gp : send_groups_) {
-    sim::Time ready = 0;
-    for (std::size_t m = 0; m < gp->members.size(); ++m) {
-      TransferState* x = gp->members[m].first;
-      rt.launch_kernel(x->src_stream, x->active_bytes, "pack " + dir_str(x->t.dir),
-                       [x, this] { x->src_ld->pack_region(x->src_pack, x->src_region, active_qs_); },
-                       pack_access(*x, x->src_pack));
-      rt.memcpy_async(gp->host, gp->active_offsets[m], x->src_pack, 0, x->active_bytes,
-                      x->src_stream);
-      rt.record_event(x->ready_ev, x->src_stream);
-      ready = std::max(ready, x->ready_ev.completed_at);
+  for (std::size_t i = 0; i < send_groups_.size(); ++i) {
+    AggGroup& g = *send_groups_[i];
+    if (p != nullptr) {
+      rt.launch_graph(p->send_groups[i].graph);
+      continue;
     }
-    inflight_.pending_group_sends.emplace_back(ready, gp.get());
+    emit_group(g, true);
+    sim::Time ready = 0;
+    for (const auto& m : g.members) ready = std::max(ready, m.first->ready_ev.completed_at);
+    inflight_.pending_group_sends.emplace_back(ready, &g);
   }
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::stable_sort(inflight_.pending_group_sends.begin(), inflight_.pending_group_sends.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+void DistributedDomain::exchange_finish() {
+  if (!inflight_.active) throw std::logic_error("exchange_finish() without exchange_start()");
+  auto& comm = ctx_.comm;
+  auto& rt = ctx_.rt;
+  plan::CompiledPlan* const p = cur_plan_;
+  std::vector<simpi::Request>& send_reqs = inflight_.send_reqs;
+
+  // --- Phase 4: post the sends (the Sender state machines' "advance when
+  // your CUDA phase completes" loop). Each send is gated on its ready_ev
+  // with an event synchronize — not a virtual-time sleep to the same
+  // instant — so the message's read of its payload has a happens-before
+  // edge from the pack/D2H writes it consumes.
+  const auto post_send = [&](TransferState& x, simpi::Request* frozen) {
+    rt.event_synchronize(x.ready_ev);
+    send_reqs.push_back(frozen != nullptr ? restart(comm, *frozen)
+                                          : comm.isend(x.send_payload(), x.t.dst_rank, x.t.tag));
+  };
+  const auto post_group = [&](AggGroup& g, simpi::Request* frozen) {
+    for (const auto& m : g.members) rt.event_synchronize(m.first->ready_ev);
+    send_reqs.push_back(frozen != nullptr
+                            ? restart(comm, *frozen)
+                            : comm.isend(g.payload(), g.peer_rank, agg_tag(comm, comm.rank())));
+  };
+  const auto by_ready = [](const auto& a, const auto& b) { return a.first < b.first; };
+  auto& pending = inflight_.pending_sends;
+  auto& pending_groups = inflight_.pending_group_sends;
+  std::stable_sort(pending.begin(), pending.end(), by_ready);
+  std::stable_sort(pending_groups.begin(), pending_groups.end(), by_ready);
+  if (p != nullptr) {
+    // The send order is the one thing besides issue that differs by mode: a
+    // plan starts its sends in frozen plan order (transfers, then groups);
+    // only this generation's COLOCATED fallbacks, which the plan does not
+    // hold, follow as plain isends by ready time.
+    for (std::size_t i = 0; i < xfers_.size(); ++i) {
+      TransferState& x = *xfers_[i];
+      if (x.sends_message() && x.handled_seq != seq_) post_send(x, &p->programs[i].send_req);
+    }
+    for (std::size_t i = 0; i < send_groups_.size(); ++i) {
+      post_group(*send_groups_[i], &p->send_groups[i].req);
+    }
+    for (const auto& fallback : pending) post_send(*fallback.second, nullptr);
+  } else {
+    // Eager: transfers and groups merged by data-ready time (a transfer
+    // wins a tie).
+    auto xi = pending.begin();
+    auto gi = pending_groups.begin();
+    while (xi != pending.end() || gi != pending_groups.end()) {
+      if (xi == pending.end() || (gi != pending_groups.end() && gi->first < xi->first)) {
+        post_group(*(gi++)->second, nullptr);
+      } else {
+        post_send(*(xi++)->second, nullptr);
+      }
+    }
+  }
+
+  // --- Phase 5: as each MPI receive lands, enqueue H2D + unpack (a whole
+  // aggregated message fans its members out to their GPUs). ---------------
+  for (;;) {
+    const int i = comm.wait_any(inflight_.recv_reqs);
+    if (i < 0) break;
+    const InFlight::Landing l = inflight_.landings[static_cast<std::size_t>(i)];
+    if (p != nullptr) {
+      rt.launch_graph(l.group ? p->recv_groups[l.index].graph : p->programs[l.index].recv_graph);
+    } else if (l.group) {
+      emit_group(*recv_groups_[l.index], false);
+    } else {
+      TransferState& x = *xfers_[l.index];
+      emit_land(x, x.dst_host, 0);
+    }
+  }
+
+  // --- Phase 6: COLOCATED receivers unpack and acknowledge. ---------------
+  for (auto& xp : xfers_) {
+    TransferState& x = *xp;
+    if (x.t.method == Method::kColocated && x.i_recv) colocated_recv(x);
+  }
+
+  // --- Phase 7: drain sends, then quiesce every stream we touched. --------
+  comm.waitall(send_reqs);
+  for (auto& xp : xfers_) {
+    TransferState& x = *xp;
+    if (x.src_stream.valid()) rt.stream_synchronize(x.src_stream);
+    if (x.dst_stream.valid()) rt.stream_synchronize(x.dst_stream);
+  }
+
+  cur_plan_ = nullptr;
+  inflight_.active = false;
+  inflight_.recv_reqs.clear();
+  inflight_.send_reqs.clear();
+  inflight_.landings.clear();
+  inflight_.pending_sends.clear();
+  inflight_.pending_group_sends.clear();
+  note_exchange_complete();
+}
+
+// ---------------------------------------------------------------------------
+// Per-transfer emitters: the stream work of one transfer leg, issued through
+// the ordinary vgpu entry points. Eager exchanges call them directly; plan
+// compilation calls the same functions under capture; the COLOCATED
+// fallbacks call them to reroute a generation over STAGED.
+// ---------------------------------------------------------------------------
+
+void DistributedDomain::launch_pack(TransferState& x) {
+  ctx_.rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
+                        [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
+                        pack_access(x, x.src_pack));
+}
+
+void DistributedDomain::launch_unpack(TransferState& x) {
+  ctx_.rt.launch_kernel(
+      x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
+      [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
+      unpack_access(x, x.dst_pack));
+}
+
+void DistributedDomain::emit_local(TransferState& x) {
+  auto& rt = ctx_.rt;
+  if (x.t.method == Method::kKernel) {
+    rt.launch_kernel(x.src_stream, x.active_bytes, "self " + dir_str(x.t.dir),
+                     [&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); },
+                     self_access(x));
+    return;
+  }
+  // PEER. Pack-free path (§VI): a strided copy straight into the neighbor's
+  // halo, when configured — and under kAuto, whenever the modeled strided
+  // time beats pack kernel + dense copy + unpack kernel. ready_ev carries
+  // the cross-stream edge (it has no MPI role for PEER).
+  const bool use_3d = peer_use_3d(x);
+  if (use_3d) {
+    for (std::size_t q : active_qs_) {
+      const std::size_t qbytes =
+          static_cast<std::size_t>(x.src_region.volume()) * quantities_[q].elem_size;
+      rt.memcpy3d_peer_async(
+          x.t.dst_gpu, x.t.src_gpu, qbytes, x.src_ld->row_bytes(x.src_region, q), x.src_stream,
+          "3d " + dir_str(x.t.dir),
+          [&x, q] {
+            LocalDomain::copy_region(*x.src_ld, x.src_region, *x.dst_ld, x.dst_region, q);
+          },
+          copy3d_access(x, q));
+    }
+  } else {
+    launch_pack(x);
+    rt.memcpy_peer_async(x.dst_pack, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
+  }
+  rt.record_event(x.ready_ev, x.src_stream);
+  rt.stream_wait_event(x.dst_stream, x.ready_ev);
+  if (!use_3d) launch_unpack(x);
+}
+
+void DistributedDomain::emit_pack(TransferState& x, vgpu::Buffer& host, std::size_t off) {
+  auto& rt = ctx_.rt;
+  if (x.t.method == Method::kStaged && staged_zero_copy_ && !x.aggregated) {
+    // Zero-copy pack (§VI/[18]): the kernel's stores land directly in the
+    // pinned staging buffer — no separate D2H step.
+    rt.launch_zero_copy_kernel(
+        x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
+        [&x, this] { x.src_ld->pack_region(x.src_host, x.src_region, active_qs_); },
+        pack_access(x, x.src_host));
+  } else {
+    launch_pack(x);
+    if (x.t.method == Method::kStaged) {
+      rt.memcpy_async(host, off, x.src_pack, 0, x.active_bytes, x.src_stream);
+    }
+  }
+  rt.record_event(x.ready_ev, x.src_stream);
+}
+
+void DistributedDomain::emit_land(TransferState& x, const vgpu::Buffer& host, std::size_t off) {
+  if (x.t.method == Method::kStaged) {
+    ctx_.rt.memcpy_async(x.dst_pack, 0, host, off, x.active_bytes, x.dst_stream);
+  }
+  launch_unpack(x);
+}
+
+void DistributedDomain::emit_group(AggGroup& g, bool send) {
+  for (std::size_t m = 0; m < g.members.size(); ++m) {
+    TransferState& x = *g.members[m].first;
+    if (send) {
+      emit_pack(x, g.host, g.active_offsets[m]);
+    } else {
+      emit_land(x, g.host, g.active_offsets[m]);
+    }
+  }
 }
 
 void DistributedDomain::colocated_send(TransferState& x) {
@@ -788,9 +931,7 @@ void DistributedDomain::colocated_send(TransferState& x) {
       if (x.peer_channel->done_ev.recorded) {
         rt.stream_wait_event(x.src_stream, x.peer_channel->done_ev);
       }
-      rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                       [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                       pack_access(x, x.src_pack));
+      launch_pack(x);
       rt.memcpy_to_ipc_async(x.mapped, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
       rt.record_event(x.peer_channel->data_ev, x.src_stream);
       if (trace::Recorder* rec = ctx_.cluster.recorder();
@@ -810,17 +951,13 @@ void DistributedDomain::colocated_send(TransferState& x) {
   }
   if (fell_back) {
     // Demote to STAGED: tell the receiver (it owns no timeline of our
-    // mapping), then pack into the staging buffer and queue the send so
+    // mapping), then pack like any STAGED sender and queue the send so
     // Phase 4 posts it alongside the ordinary staged traffic.
     demote_transfer(x, Method::kStaged);
     ensure_staged_buffers(x);
     x.peer_channel->demoted = true;
     x.peer_channel->gate.notify_all(eng);
-    rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                     [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                     pack_access(x, x.src_pack));
-    rt.memcpy_async(x.src_host, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-    rt.record_event(x.ready_ev, x.src_stream);
+    emit_pack(x, x.src_host, 0);
     inflight_.pending_sends.emplace_back(x.ready_ev.completed_at, &x);
     x.handled_seq = seq_;
   }
@@ -838,11 +975,8 @@ void DistributedDomain::colocated_recv(TransferState& x) {
     // for a COLOCATED transfer, so receive blocking here) and unpack.
     demote_transfer(x, Method::kStaged);
     ensure_staged_buffers(x);
-    ctx_.comm.recv(simpi::Payload::of(x.dst_host, 0, x.active_bytes), x.t.src_rank, x.t.tag);
-    rt.memcpy_async(x.dst_pack, 0, x.dst_host, 0, x.active_bytes, x.dst_stream);
-    rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                     [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                     unpack_access(x, x.dst_pack));
+    ctx_.comm.recv(x.recv_payload(), x.t.src_rank, x.t.tag);
+    emit_land(x, x.dst_host, 0);
     x.channel->done_gen = seq_;
     return;
   }
@@ -857,9 +991,7 @@ void DistributedDomain::colocated_recv(TransferState& x) {
                   "ipc tag=" + std::to_string(x.t.tag));
     x.channel->data_span = 0;  // one arrow per generation
   }
-  rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                   [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                   unpack_access(x, x.dst_pack));
+  launch_unpack(x);
   rt.record_event(x.channel->done_ev, x.dst_stream);
   x.channel->done_gen = seq_;
   x.channel->gate.notify_all(eng);
@@ -912,14 +1044,12 @@ Method DistributedDomain::forced_method(const Transfer& t) const {
 void DistributedDomain::recover_abort() {
   auto& rt = ctx_.rt;
   // Return every posted request to the inactive state. inflight_ holds the
-  // authoritative handles; the per-transfer / per-group / plan-program copies
-  // below share the same records, so they must NOT be reset a second time —
-  // eager copies are dropped, persistent ones stay valid for restart.
+  // only eager handles; a plan's programs share the records of their
+  // persistent requests, which must NOT be reset a second time — they stay
+  // valid for restart.
   for (simpi::Request& r : inflight_.recv_reqs) ctx_.comm.reset(r);
   for (simpi::Request& r : inflight_.send_reqs) ctx_.comm.reset(r);
   for (auto& xp : xfers_) {
-    xp->send_req = {};
-    xp->recv_req = {};
     // Re-align COLOCATED flow control: the aborted generation will never be
     // replayed under this seq_, so mark it complete on the receiver's
     // channel (both ends run recover_abort, so every channel is covered by
@@ -930,9 +1060,6 @@ void DistributedDomain::recover_abort() {
       xp->channel->demoted = false;
       xp->channel->data_span = 0;
     }
-  }
-  for (auto groups : {&send_groups_, &recv_groups_}) {
-    for (auto& gp : *groups) gp->req = {};
   }
   // Quiesce every stream we may have touched. A rank whose own device died
   // cannot: its streams are gone with the GPU, which is fine — the rank is
@@ -1119,106 +1246,6 @@ void DistributedDomain::resync_seq(std::uint64_t s) {
   }
 }
 
-void DistributedDomain::exchange_finish() {
-  if (!inflight_.active) throw std::logic_error("exchange_finish() without exchange_start()");
-  if (inflight_.planned) {
-    planned_finish(*cur_plan_);
-    note_exchange_complete();
-    return;
-  }
-  auto& comm = ctx_.comm;
-  auto& rt = ctx_.rt;
-  std::vector<simpi::Request>& recv_reqs = inflight_.recv_reqs;
-  auto& recv_map = inflight_.recv_map;
-
-  // --- Phase 4: post Isends in data-ready order (the Sender state
-  // machines' "advance when your CUDA phase completes" loop). Each send is
-  // gated on its ready_ev with an event synchronize — not a virtual-time
-  // sleep to the same instant — so the isend's read of the staging buffer
-  // has a happens-before edge from the pack/D2H writes it consumes.
-  std::vector<simpi::Request>& send_reqs = inflight_.send_reqs;
-  {
-    auto xi = inflight_.pending_sends.begin();
-    auto gi = inflight_.pending_group_sends.begin();
-    while (xi != inflight_.pending_sends.end() || gi != inflight_.pending_group_sends.end()) {
-      const bool take_group = xi == inflight_.pending_sends.end() ||
-                              (gi != inflight_.pending_group_sends.end() && gi->first < xi->first);
-      if (take_group) {
-        AggGroup& g = *gi->second;
-        for (auto& [mx, off] : g.members) {
-          (void)off;
-          rt.event_synchronize(mx->ready_ev);
-        }
-        g.req = comm.isend(simpi::Payload::of(g.host, 0, g.active_bytes), g.peer_rank,
-                           agg_tag(comm, comm.rank()));
-        send_reqs.push_back(g.req);
-        ++gi;
-      } else {
-        TransferState& x = *xi->second;
-        rt.event_synchronize(x.ready_ev);
-        if (x.t.method == Method::kStaged) {
-          x.send_req = comm.isend(simpi::Payload::of(x.src_host, 0, x.active_bytes), x.t.dst_rank,
-                                  x.t.tag);
-        } else {
-          x.send_req = comm.isend(simpi::Payload::of(x.src_pack, 0, x.active_bytes), x.t.dst_rank,
-                                  x.t.tag);
-        }
-        send_reqs.push_back(x.send_req);
-        ++xi;
-      }
-    }
-  }
-
-  // --- Phase 5: as each MPI receive lands, enqueue H2D + unpack. ----------
-  for (;;) {
-    const int i = comm.wait_any(recv_reqs);
-    if (i < 0) break;
-    auto [xp, gp] = recv_map[static_cast<std::size_t>(i)];
-    if (gp != nullptr) {
-      // A whole aggregated message landed: fan its members out to their GPUs.
-      for (std::size_t m = 0; m < gp->members.size(); ++m) {
-        TransferState* x = gp->members[m].first;
-        rt.memcpy_async(x->dst_pack, 0, gp->host, gp->active_offsets[m], x->active_bytes,
-                        x->dst_stream);
-        rt.launch_kernel(x->dst_stream, x->active_bytes, "unpack " + dir_str(x->t.dir),
-                         [x, this] { x->dst_ld->unpack_region(x->dst_pack, x->dst_region, active_qs_); },
-                         unpack_access(*x, x->dst_pack));
-      }
-      continue;
-    }
-    TransferState& x = *xp;
-    if (x.t.method == Method::kStaged) {
-      rt.memcpy_async(x.dst_pack, 0, x.dst_host, 0, x.active_bytes, x.dst_stream);
-    }
-    rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                     [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                     unpack_access(x, x.dst_pack));
-  }
-
-  // --- Phase 6: COLOCATED receivers unpack and acknowledge. ---------------
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.t.method != Method::kColocated || !x.i_recv) continue;
-    colocated_recv(x);
-  }
-
-  // --- Phase 7: drain sends, then quiesce every stream we touched. --------
-  comm.waitall(send_reqs);
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.src_stream.valid()) rt.stream_synchronize(x.src_stream);
-    if (x.dst_stream.valid()) rt.stream_synchronize(x.dst_stream);
-  }
-
-  inflight_.active = false;
-  inflight_.recv_reqs.clear();
-  inflight_.send_reqs.clear();
-  inflight_.recv_map.clear();
-  inflight_.pending_sends.clear();
-  inflight_.pending_group_sends.clear();
-  note_exchange_complete();
-}
-
 void DistributedDomain::note_exchange_complete() {
   const sim::Time now = ctx_.engine().now();
   telemetry_.on_exchange_latency(now - inflight_.start_time);
@@ -1397,103 +1424,15 @@ void DistributedDomain::compile_program(plan::TransferProgram& prog) {
   // generation counter, which a frozen node sequence cannot express.
   if (prog.eager) return;
 
-  switch (x.t.method) {
-    case Method::kKernel:
-      if (x.i_send) {
-        rt.begin_capture();
-        rt.launch_kernel(x.src_stream, x.active_bytes, "self " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->self_exchange(x.t.dir, active_qs_); },
-                         self_access(x));
-        prog.send_graph = rt.instantiate(rt.end_capture());
-      }
-      break;
-    case Method::kPeer: {
-      // Both halves are ours: the whole pack / copy / event-edge / unpack
-      // chain freezes into one graph. ready_ev carries the cross-stream
-      // edge (it has no MPI role for PEER), re-recorded at every launch.
-      rt.begin_capture();
-      if (peer_use_3d(x)) {
-        for (std::size_t q : active_qs_) {
-          const std::size_t qbytes =
-              static_cast<std::size_t>(x.src_region.volume()) * quantities_[q].elem_size;
-          rt.memcpy3d_peer_async(
-              x.t.dst_gpu, x.t.src_gpu, qbytes, x.src_ld->row_bytes(x.src_region, q),
-              x.src_stream, "3d " + dir_str(x.t.dir),
-              [&x, q] {
-                LocalDomain::copy_region(*x.src_ld, x.src_region, *x.dst_ld, x.dst_region, q);
-              },
-              copy3d_access(x, q));
-        }
-        rt.record_event(x.ready_ev, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, x.ready_ev);
-      } else {
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.memcpy_peer_async(x.dst_pack, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-        rt.record_event(x.ready_ev, x.src_stream);
-        rt.stream_wait_event(x.dst_stream, x.ready_ev);
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-      }
-      prog.send_graph = rt.instantiate(rt.end_capture());
-      break;
-    }
-    case Method::kCudaAwareMpi:
-      if (x.i_send) {
-        rt.begin_capture();
-        rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                         [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                         pack_access(x, x.src_pack));
-        rt.record_event(x.ready_ev, x.src_stream);
-        prog.send_graph = rt.instantiate(rt.end_capture());
-        prog.send_req = comm.send_init(simpi::Payload::of(x.src_pack, 0, x.active_bytes),
-                                       x.t.dst_rank, x.t.tag);
-      }
-      if (x.i_recv) {
-        rt.begin_capture();
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-        prog.recv_graph = rt.instantiate(rt.end_capture());
-        prog.recv_req = comm.recv_init(simpi::Payload::of(x.dst_pack, 0, x.active_bytes),
-                                       x.t.src_rank, x.t.tag);
-      }
-      break;
-    case Method::kStaged:
-      if (x.aggregated) break;  // frozen in a GroupProgram instead
-      if (x.i_send) {
-        rt.begin_capture();
-        if (staged_zero_copy_) {
-          rt.launch_zero_copy_kernel(
-              x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-              [&x, this] { x.src_ld->pack_region(x.src_host, x.src_region, active_qs_); },
-              pack_access(x, x.src_host));
-        } else {
-          rt.launch_kernel(x.src_stream, x.active_bytes, "pack " + dir_str(x.t.dir),
-                           [&x, this] { x.src_ld->pack_region(x.src_pack, x.src_region, active_qs_); },
-                           pack_access(x, x.src_pack));
-          rt.memcpy_async(x.src_host, 0, x.src_pack, 0, x.active_bytes, x.src_stream);
-        }
-        rt.record_event(x.ready_ev, x.src_stream);
-        prog.send_graph = rt.instantiate(rt.end_capture());
-        prog.send_req = comm.send_init(simpi::Payload::of(x.src_host, 0, x.active_bytes),
-                                       x.t.dst_rank, x.t.tag);
-      }
-      if (x.i_recv) {
-        rt.begin_capture();
-        rt.memcpy_async(x.dst_pack, 0, x.dst_host, 0, x.active_bytes, x.dst_stream);
-        rt.launch_kernel(x.dst_stream, x.active_bytes, "unpack " + dir_str(x.t.dir),
-                         [&x, this] { x.dst_ld->unpack_region(x.dst_pack, x.dst_region, active_qs_); },
-                         unpack_access(x, x.dst_pack));
-        prog.recv_graph = rt.instantiate(rt.end_capture());
-        prog.recv_req = comm.recv_init(simpi::Payload::of(x.dst_host, 0, x.active_bytes),
-                                       x.t.src_rank, x.t.tag);
-      }
-      break;
-    case Method::kColocated:
-      break;  // unreachable: eager-flagged above
+  // Each leg is captured from the emitter an eager exchange calls.
+  if (x.is_local_work()) prog.send_graph = capture(rt, [&] { emit_local(x); });
+  if (x.sends_message()) {
+    prog.send_graph = capture(rt, [&] { emit_pack(x, x.src_host, 0); });
+    prog.send_req = comm.send_init(x.send_payload(), x.t.dst_rank, x.t.tag);
+  }
+  if (x.receives_message()) {
+    prog.recv_graph = capture(rt, [&] { emit_land(x, x.dst_host, 0); });
+    prog.recv_req = comm.recv_init(x.recv_payload(), x.t.src_rank, x.t.tag);
   }
 }
 
@@ -1505,155 +1444,10 @@ void DistributedDomain::compile_group_program(plan::GroupProgram& g) {
   g.peer_rank = grp.peer_rank;
   g.bytes = grp.active_bytes;
   g.member_tags.clear();
-  rt.begin_capture();
-  for (std::size_t m = 0; m < grp.members.size(); ++m) {
-    TransferState* x = grp.members[m].first;
-    g.member_tags.push_back(x->t.tag);
-    if (g.is_send) {
-      rt.launch_kernel(x->src_stream, x->active_bytes, "pack " + dir_str(x->t.dir),
-                       [x, this] { x->src_ld->pack_region(x->src_pack, x->src_region, active_qs_); },
-                       pack_access(*x, x->src_pack));
-      rt.memcpy_async(grp.host, grp.active_offsets[m], x->src_pack, 0, x->active_bytes,
-                      x->src_stream);
-      rt.record_event(x->ready_ev, x->src_stream);
-    } else {
-      rt.memcpy_async(x->dst_pack, 0, grp.host, grp.active_offsets[m], x->active_bytes,
-                      x->dst_stream);
-      rt.launch_kernel(x->dst_stream, x->active_bytes, "unpack " + dir_str(x->t.dir),
-                       [x, this] { x->dst_ld->unpack_region(x->dst_pack, x->dst_region, active_qs_); },
-                       unpack_access(*x, x->dst_pack));
-    }
-  }
-  g.graph = rt.instantiate(rt.end_capture());
-  g.req = g.is_send
-              ? comm.send_init(simpi::Payload::of(grp.host, 0, grp.active_bytes), grp.peer_rank,
-                               agg_tag(comm, comm.rank()))
-              : comm.recv_init(simpi::Payload::of(grp.host, 0, grp.active_bytes), grp.peer_rank,
-                               agg_tag(comm, grp.peer_rank));
-}
-
-void DistributedDomain::planned_start(plan::CompiledPlan& p) {
-  auto& comm = ctx_.comm;
-  auto& rt = ctx_.rt;
-  cur_plan_ = &p;
-  inflight_.planned = true;
-  ++p.replays;
-  ++plan_cache_.stats().replays;
-  telemetry_.on_plan_event("replay");
-
-  // Phase 0': re-arm every persistent receive (groups first, matching the
-  // eager post order) and remember each one's landing graph.
-  std::vector<simpi::Request>& recv_reqs = inflight_.recv_reqs;
-  for (plan::GroupProgram& g : p.recv_groups) {
-    comm.start(g.req);
-    recv_reqs.push_back(g.req);
-    inflight_.recv_graphs.push_back(&g.graph);
-  }
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.recv_req.valid()) continue;
-    comm.start(prog.recv_req);
-    recv_reqs.push_back(prog.recv_req);
-    inflight_.recv_graphs.push_back(&prog.recv_graph);
-  }
-
-  // Phase 1': local transfers (KERNEL, PEER) — one launch per frozen chain.
-  for (plan::TransferProgram& prog : p.programs) {
-    if ((prog.method == Method::kKernel || prog.method == Method::kPeer) &&
-        prog.send_graph.valid()) {
-      rt.launch_graph(prog.send_graph);
-    }
-  }
-
-  // Phase 2': COLOCATED senders stay interpreted (generation-dependent flow
-  // control). A stale mapping demotes the transfer, queues an eager
-  // fallback send, and — via demote_transfer — dirties this plan entry, so
-  // the next acquire rebuilds it as a persistent STAGED program.
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.eager) continue;
-    TransferState& x = *xfers_[prog.xfer_index];
-    if (x.i_send) colocated_send(x);
-  }
-
-  // Phase 3': sender pack graphs (STAGED, CUDA-aware, aggregation groups).
-  for (plan::TransferProgram& prog : p.programs) {
-    if ((prog.method == Method::kStaged || prog.method == Method::kCudaAwareMpi) &&
-        prog.send_graph.valid()) {
-      rt.launch_graph(prog.send_graph);
-    }
-  }
-  for (plan::GroupProgram& g : p.send_groups) rt.launch_graph(g.graph);
-}
-
-void DistributedDomain::planned_finish(plan::CompiledPlan& p) {
-  auto& comm = ctx_.comm;
-  auto& rt = ctx_.rt;
-
-  // Phase 4': the frozen send schedule. Plan order replaces the eager
-  // path's per-iteration ready-time sort; each start is still gated on the
-  // transfer's ready event, so the persistent request's read of the staging
-  // buffer keeps the same happens-before edge as the eager isend.
-  std::vector<simpi::Request>& send_reqs = inflight_.send_reqs;
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.send_req.valid()) continue;
-    TransferState& x = *xfers_[prog.xfer_index];
-    rt.event_synchronize(x.ready_ev);
-    comm.start(prog.send_req);
-    send_reqs.push_back(prog.send_req);
-  }
-  for (plan::GroupProgram& g : p.send_groups) {
-    AggGroup& grp = *send_groups_[g.group_index];
-    for (auto& [mx, off] : grp.members) {
-      (void)off;
-      rt.event_synchronize(mx->ready_ev);
-    }
-    comm.start(g.req);
-    send_reqs.push_back(g.req);
-  }
-  // COLOCATED fallback sends queued by Phase 2' ride as plain isends this
-  // generation; their rebuilt persistent programs take over next exchange.
-  std::stable_sort(inflight_.pending_sends.begin(), inflight_.pending_sends.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [ready, xp] : inflight_.pending_sends) {
-    (void)ready;
-    TransferState& x = *xp;
-    rt.event_synchronize(x.ready_ev);
-    x.send_req =
-        comm.isend(simpi::Payload::of(x.src_host, 0, x.active_bytes), x.t.dst_rank, x.t.tag);
-    send_reqs.push_back(x.send_req);
-  }
-
-  // Phase 5': as each persistent receive lands, launch its captured
-  // H2D+unpack (or group fan-out) graph.
-  for (;;) {
-    const int i = comm.wait_any(inflight_.recv_reqs);
-    if (i < 0) break;
-    rt.launch_graph(*inflight_.recv_graphs[static_cast<std::size_t>(i)]);
-  }
-
-  // Phase 6': COLOCATED receivers (interpreted, like the send side).
-  for (plan::TransferProgram& prog : p.programs) {
-    if (!prog.eager) continue;
-    TransferState& x = *xfers_[prog.xfer_index];
-    if (x.i_recv) colocated_recv(x);
-  }
-
-  // Phase 7': drain sends, then quiesce every stream we touched.
-  comm.waitall(send_reqs);
-  for (auto& xp : xfers_) {
-    TransferState& x = *xp;
-    if (x.src_stream.valid()) rt.stream_synchronize(x.src_stream);
-    if (x.dst_stream.valid()) rt.stream_synchronize(x.dst_stream);
-  }
-
-  cur_plan_ = nullptr;
-  inflight_.active = false;
-  inflight_.planned = false;
-  inflight_.recv_reqs.clear();
-  inflight_.send_reqs.clear();
-  inflight_.recv_graphs.clear();
-  inflight_.recv_map.clear();
-  inflight_.pending_sends.clear();
-  inflight_.pending_group_sends.clear();
+  for (const auto& m : grp.members) g.member_tags.push_back(m.first->t.tag);
+  g.graph = capture(rt, [&] { emit_group(grp, g.is_send); });
+  g.req = g.is_send ? comm.send_init(grp.payload(), grp.peer_rank, agg_tag(comm, comm.rank()))
+                    : comm.recv_init(grp.payload(), grp.peer_rank, agg_tag(comm, grp.peer_rank));
 }
 
 void DistributedDomain::launch_compute(LocalDomain& ld, const std::string& label,

@@ -306,8 +306,28 @@ class DistributedDomain {
   // per configuration or the kAuto cost model.
   bool peer_use_3d(const TransferState& x) const;
 
-  // COLOCATED state machines, shared by the eager and planned paths (their
-  // flow control is generation-dependent, so plans keep them interpreted).
+  // --- per-transfer emitters (the stream work of one transfer leg) -------
+  // Eager exchanges call them directly, plan compilation calls them under
+  // capture, and the COLOCATED fallbacks call them to reroute a generation
+  // over STAGED. Each issues through the ordinary vgpu entry points.
+  // One transfer's pack kernel (device pack buffer) / unpack kernel.
+  void launch_pack(TransferState& x);
+  void launch_unpack(TransferState& x);
+  // Local work: the KERNEL self-exchange, or the PEER chain (strided 3D
+  // copies, or pack / peer copy / unpack) with its cross-stream event edge.
+  void emit_local(TransferState& x);
+  // Sender pack, then ready_ev: CUDA-aware packs in device memory; STAGED
+  // packs and copies D2H into `host` at `off` (its own staging buffer, or
+  // its slot in an aggregated group), or packs zero-copy straight into its
+  // staging buffer when configured and not aggregated.
+  void emit_pack(TransferState& x, vgpu::Buffer& host, std::size_t off);
+  // Receiver landing: STAGED copies H2D from `host` at `off`; then unpack.
+  void emit_land(TransferState& x, const vgpu::Buffer& host, std::size_t off);
+  // An aggregated group: every member's pack/stage, or its fan-out.
+  void emit_group(AggGroup& g, bool send);
+
+  // COLOCATED state machines, interpreted in both modes (their flow control
+  // is generation-dependent, so plans cannot freeze them).
   void colocated_send(TransferState& x);
   void colocated_recv(TransferState& x);
   // Park on a COLOCATED channel gate until `done` holds, but stay
@@ -318,9 +338,9 @@ class DistributedDomain {
   void colocated_gate_wait(sim::Gate& gate, int peer_rank, int tag,
                            const std::function<bool()>& done, const std::string& detail);
 
-  // Telemetry bookkeeping at the end of both the eager and planned finish
-  // paths: latency histogram, per-method message/byte counters, plan-stats
-  // snapshot. Zero virtual-time cost.
+  // Telemetry bookkeeping at the end of every exchange_finish: latency
+  // histogram, per-method message/byte counters, plan-stats snapshot. Zero
+  // virtual-time cost.
   void note_exchange_complete();
 
   // Install (or clear) the PlanCache admission hook per verify_plans_.
@@ -331,15 +351,11 @@ class DistributedDomain {
   // migration (rebuild only dirty programs), or full compile on miss.
   plan::CompiledPlan& acquire_plan();
   plan::CompiledPlan& compile_plan();
-  // (Re)build one frozen transfer: capture its stream phases into graphs,
-  // create its persistent requests. Frees any superseded requests first.
+  // (Re)build one frozen transfer: capture its legs from the emitters into
+  // graphs, create its persistent requests. Frees any superseded requests
+  // first.
   void compile_program(plan::TransferProgram& prog);
   void compile_group_program(plan::GroupProgram& g);
-  // Replay: planned_start re-arms receives and launches sender graphs;
-  // planned_finish starts sends in frozen order, fans out landed receives,
-  // and quiesces.
-  void planned_start(plan::CompiledPlan& p);
-  void planned_finish(plan::CompiledPlan& p);
 
   RankCtx& ctx_;
   Dim3 domain_;
@@ -376,7 +392,8 @@ class DistributedDomain {
   std::uint64_t topo_epoch_ = 0;
   telemetry::Telemetry telemetry_;
   plan::PlanCache plan_cache_;
-  plan::CompiledPlan* cur_plan_ = nullptr;  // plan driving the in-flight exchange
+  // Plan driving the in-flight exchange; nullptr for an eager exchange.
+  plan::CompiledPlan* cur_plan_ = nullptr;
   // Latest provenance record per cached plan, so the hot path (cache hit)
   // is a single map find + O(1) ledger bump — no allocation, no string
   // formatting. Populated only on the cold compile/migrate paths.
@@ -401,19 +418,23 @@ class DistributedDomain {
   // Split-phase exchange state, valid between exchange_start/finish.
   struct InFlight {
     bool active = false;
-    bool planned = false;
     sim::Time start_time = 0;  // virtual time of exchange_start (telemetry)
     std::vector<simpi::Request> recv_reqs;
     // Posted sends, kept here (not on the stack) so recover_abort can reset
     // them when a failure unwinds exchange_finish mid-flight.
     std::vector<simpi::Request> send_reqs;
-    // Exactly one of the pair is set: a plain transfer or a whole group.
-    std::vector<std::pair<TransferState*, AggGroup*>> recv_map;
-    // Planned path: the captured H2D+unpack graph for each receive, indexed
-    // like recv_reqs.
-    std::vector<vgpu::GraphExec*> recv_graphs;
-    std::vector<std::pair<sim::Time, TransferState*>> pending_sends;        // (data-ready, xfer)
-    std::vector<std::pair<sim::Time, AggGroup*>> pending_group_sends;       // (all-ready, group)
+    // Where each receive lands, indexed like recv_reqs: a transfer (index
+    // into xfers_ and the plan's programs) or an aggregated group (index
+    // into recv_groups_ and the plan's recv_groups).
+    struct Landing {
+      std::size_t index = 0;
+      bool group = false;
+    };
+    std::vector<Landing> landings;
+    // Sends Phase 4 posts as fresh isends: every eager send, and in a
+    // planned exchange only the COLOCATED fallbacks the plan does not hold.
+    std::vector<std::pair<sim::Time, TransferState*>> pending_sends;   // (data-ready, xfer)
+    std::vector<std::pair<sim::Time, AggGroup*>> pending_group_sends;  // (all-ready, group)
   };
   InFlight inflight_;
 };

@@ -62,8 +62,6 @@ struct DistributedDomain::TransferState {
   vgpu::IpcMappedPtr mapped;                 // sender's mapping of dst_pack
 
   vgpu::Event ready_ev;  // sender: packed (+staged) data ready for MPI
-  simpi::Request send_req;
-  simpi::Request recv_req;
 
   // Runtime demotion bookkeeping. `aggregated` marks membership in an
   // AggGroup fixed at realize(); a transfer demoted to STAGED later is not
@@ -73,6 +71,28 @@ struct DistributedDomain::TransferState {
   // sees method == kStaged) must not send it twice.
   bool aggregated = false;
   std::uint64_t handled_seq = 0;
+
+  // Which exchange phases this transfer takes part in, by its current
+  // method. Local work is the pure-CUDA chain of KERNEL and PEER; an MPI
+  // message of its own is sent by CUDA-aware and by individual (not
+  // aggregated) STAGED transfers.
+  bool is_local_work() const {
+    return t.method == Method::kPeer || (t.method == Method::kKernel && i_send);
+  }
+  bool has_own_message() const {
+    return t.method == Method::kCudaAwareMpi || (t.method == Method::kStaged && !aggregated);
+  }
+  bool sends_message() const { return i_send && has_own_message(); }
+  bool receives_message() const { return i_recv && has_own_message(); }
+
+  // The message payloads: pinned staging memory for STAGED, device memory
+  // for CUDA-aware MPI.
+  simpi::Payload send_payload() {
+    return simpi::Payload::of(t.method == Method::kStaged ? src_host : src_pack, 0, active_bytes);
+  }
+  simpi::Payload recv_payload() {
+    return simpi::Payload::of(t.method == Method::kStaged ? dst_host : dst_pack, 0, active_bytes);
+  }
 };
 
 /// One aggregated STAGED message: every staged transfer between this rank
@@ -83,10 +103,11 @@ struct DistributedDomain::AggGroup {
   std::size_t bytes = 0;
   vgpu::Buffer host;  // pinned, on this rank's node (sized for all quantities)
   std::vector<std::pair<TransferState*, std::size_t>> members;  // (transfer, full offset)
-  simpi::Request req;
   // Layout of the exchange in flight (selective exchanges shrink it).
   std::size_t active_bytes = 0;
   std::vector<std::size_t> active_offsets;
+
+  simpi::Payload payload() { return simpi::Payload::of(host, 0, active_bytes); }
 };
 
 }  // namespace stencil

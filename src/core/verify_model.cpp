@@ -72,8 +72,8 @@ verify::Access flat_at(std::uint64_t buffer, std::uint64_t off, std::uint64_t by
 std::string data_token(int tag) { return "colo:" + std::to_string(tag) + ":data"; }
 std::string done_token(int tag) { return "colo:" + std::to_string(tag) + ":done"; }
 
-/// Emits one rank's op sequence mirroring the planned replay phases
-/// (planned_start 0'–3', planned_finish 4'–7').
+/// Emits one rank's op sequence mirroring the exchange phases as a planned
+/// exchange runs them (exchange_start 0'–3', exchange_finish 4'–7').
 class RankEmitter {
  public:
   RankEmitter(verify::RankProgram& rp, int rank) : rp_(rp), rank_(rank) {}

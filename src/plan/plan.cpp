@@ -100,7 +100,7 @@ void CompiledPlan::describe(std::ostream& os) const {
 
 CompiledPlan* PlanCache::find(std::uint32_t flags, bool agg, const std::vector<std::size_t>& qs) {
   for (auto& p : plans_) {
-    if (p->key.same_config(flags, agg, qs)) return p.get();
+    if (!p->rejected && p->key.same_config(flags, agg, qs)) return p.get();
   }
   return nullptr;
 }
@@ -115,12 +115,13 @@ void PlanCache::invalidate_tag(int tag) {
   for (auto& p : plans_) p->mark_dirty(tag);
 }
 
-void PlanCache::admit(const CompiledPlan& p) {
+void PlanCache::admit(CompiledPlan& p) {
   if (!admission_) return;
   ++stats_.verifications;
   std::string report = admission_(p);
   if (report.empty()) return;
   ++stats_.rejections;
+  p.rejected = true;
   throw AdmissionError("plan admission rejected { " + p.key.str() + " }",
                        std::move(report));
 }

@@ -112,6 +112,7 @@ class CompiledPlan {
   std::vector<GroupProgram> send_groups;
   std::vector<GroupProgram> recv_groups;
   std::uint64_t replays = 0;
+  bool rejected = false;  // refused at admission: never found, never replayed
 
   std::size_t dirty_count() const;
   /// Mark every program of transfer `tag` dirty (fault demotion).
@@ -150,11 +151,13 @@ class PlanCache {
   bool has_admission() const { return static_cast<bool>(admission_); }
 
   /// Run the admission hook on a freshly compiled or migrated plan.
-  /// Throws AdmissionError when the verifier reports findings; the bad plan
-  /// is left in the cache marked by the throw site (callers fail fast).
-  void admit(const CompiledPlan& p);
+  /// Throws AdmissionError when the verifier reports findings, after
+  /// marking the plan rejected: find() skips it from then on, so a retry of
+  /// the same configuration compiles and faces admission afresh.
+  void admit(CompiledPlan& p);
 
   /// The plan for this configuration, or nullptr (caller compiles one).
+  /// Never returns a plan rejected at admission.
   CompiledPlan* find(std::uint32_t flags, bool agg, const std::vector<std::size_t>& qs);
 
   /// Insert an empty plan for `key` and return it (stable address).

@@ -38,7 +38,8 @@ struct FlowEdge {
 
 /// Collects operation spans during a simulation and renders them as CSV or
 /// an ASCII Gantt chart (the reproduction of the paper's Fig. 9 timeline).
-/// Recording order is deterministic because the engine is token-scheduled.
+/// Recording order is deterministic because the engine runs one actor at a
+/// time, picked in (wake time, sequence) order.
 class Recorder {
  public:
   virtual ~Recorder() = default;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "check/checker.h"
 #include "core/cluster.h"
 #include "core/distributed_domain.h"
 #include "fault/fault.h"
@@ -17,6 +18,7 @@ namespace vgpu = stencil::vgpu;
 namespace simpi = stencil::simpi;
 namespace fault = stencil::fault;
 namespace trace = stencil::trace;
+namespace check = stencil::check;
 
 using stencil::Cluster;
 using stencil::Dim3;
@@ -614,6 +616,65 @@ TEST(FaultExchange, PeerAndIpcLossMidRunStaysBitExact) {
   }
   EXPECT_EQ(fault_events, 2);  // peer-revoke + ipc-invalidate
   EXPECT_GT(demotions, 0);
+}
+
+// The COLOCATED fallback packs like every other STAGED sender: with
+// zero-copy staging on, a sender whose IPC mapping goes stale mid-run
+// reroutes over MPI by packing straight into pinned memory (no D2H copy),
+// eager or persistent, with bit-exact halos and a clean checker.
+TEST(FaultExchange, IpcLossWithZeroCopyFallsBackZeroCopy) {
+  for (const bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "persistent" : "eager");
+    const sim::Time t_fault = sim::from_seconds(1.0);
+    const Dim3 domain{48, 48, 48};
+    fault::FaultPlan plan;
+    plan.invalidate_ipc(t_fault);
+    fault::Injector inj(plan);
+    trace::Recorder rec;
+    Cluster cluster(topo::summit(), 1, 2);
+    check::Checker chk(cluster.engine());
+    cluster.set_checker(&chk);
+    cluster.set_recorder(&rec);
+    cluster.set_fault_injector(&inj);
+    cluster.run([&](RankCtx& ctx) {
+      DistributedDomain dd(ctx, domain);
+      dd.set_radius(1);
+      dd.add_data<float>("a");
+      dd.add_data<float>("b");
+      dd.set_methods(MethodFlags::kAll);
+      dd.set_staged_zero_copy(true);
+      dd.set_persistent(persistent);
+      dd.realize();
+      EXPECT_GT(histogram_count(dd.local_method_histogram(), Method::kColocated), 0);
+      fill_interior(dd, 2);
+      ctx.comm.barrier();
+      dd.exchange();
+      ctx.comm.barrier();
+      EXPECT_EQ(verify_halos(dd, domain, 2), 0);
+
+      ctx.engine().sleep_until(t_fault + sim::kMicrosecond);
+      ctx.comm.barrier();
+      for (int it = 0; it < 3; ++it) {
+        fill_interior(dd, 2);
+        ctx.comm.barrier();
+        dd.exchange();
+        ctx.comm.barrier();
+        EXPECT_EQ(verify_halos(dd, domain, 2), 0) << "post-fault iteration " << it;
+      }
+      const auto after = dd.local_method_histogram();
+      EXPECT_EQ(histogram_count(after, Method::kColocated), 0);
+      EXPECT_GT(histogram_count(after, Method::kStaged), 0);
+    });
+    EXPECT_TRUE(chk.report().clean());
+    int d2h = 0;
+    int zero_copy_packs = 0;
+    for (const trace::OpRecord& r : rec.records()) {
+      d2h += r.lane.size() > 4 && r.lane.compare(r.lane.size() - 4, 4, ".d2h") == 0;
+      zero_copy_packs += r.label.find("(zero-copy)") != std::string::npos;
+    }
+    EXPECT_EQ(d2h, 0);  // the fallback generation and its successors all pack zero-copy
+    EXPECT_GT(zero_copy_packs, 0);
+  }
 }
 
 TEST(FaultExchange, CudaAwareDisableDemotesRemoteTransfers) {

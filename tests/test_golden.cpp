@@ -26,6 +26,10 @@ struct GoldenCase {
   MethodFlags flags;
   Boundary boundary;
   double expect_ms;
+  bool persistent = false;
+  bool aggregate = false;
+  stencil::PackMode pack_mode = stencil::PackMode::kKernel;
+  bool zero_copy = false;
 };
 
 // Print the case by name: gtest's default byte dump would include the address
@@ -42,6 +46,10 @@ double measure(const GoldenCase& c) {
     for (int q = 0; q < 4; ++q) dd.add_data<float>("q" + std::to_string(q));
     dd.set_methods(c.flags);
     dd.set_boundary(c.boundary);
+    dd.set_persistent(c.persistent);
+    dd.set_remote_aggregation(c.aggregate);
+    dd.set_pack_mode(c.pack_mode);
+    dd.set_staged_zero_copy(c.zero_copy);
     dd.realize();
     ctx.comm.barrier();
     dd.exchange();  // warm-up
@@ -84,5 +92,16 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"1n2r_staged", 1, 2, {720, 720, 720}, MethodFlags::kStaged,
                    Boundary::kPeriodic, 19.985326},
         GoldenCase{"2n3r_fixed", 2, 3, {900, 900, 900}, MethodFlags::kAll, Boundary::kFixed,
-                   2.357243}),
+                   2.357243},
+        GoldenCase{"2n6r_all_persistent", 2, 6, {1717, 1717, 1717}, MethodFlags::kAll,
+                   Boundary::kPeriodic, 15.048666, /*persistent=*/true},
+        GoldenCase{"2n3r_staged_aggregated", 2, 3, {900, 900, 900}, MethodFlags::kStaged,
+                   Boundary::kPeriodic, 14.303135, false, /*aggregate=*/true},
+        // Two ranks per node, so each rank drives three GPUs and has PEER
+        // transfers for the strided copies to replace.
+        GoldenCase{"1n2r_memcpy3d", 1, 2, {1363, 1363, 1363}, MethodFlags::kAll,
+                   Boundary::kPeriodic, 24.215112, false, false, stencil::PackMode::kMemcpy3D},
+        GoldenCase{"1n2r_staged_zero_copy", 1, 2, {720, 720, 720}, MethodFlags::kStaged,
+                   Boundary::kPeriodic, 19.673326, false, false, stencil::PackMode::kKernel,
+                   /*zero_copy=*/true}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) { return info.param.name; });

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "plan/plan.h"
 #include "simpi/mpi.h"
 #include "topo/archetype.h"
+#include "trace/recorder.h"
 
 namespace sim = stencil::sim;
 namespace topo = stencil::topo;
@@ -21,6 +26,7 @@ namespace simpi = stencil::simpi;
 namespace fault = stencil::fault;
 namespace check = stencil::check;
 namespace plan = stencil::plan;
+namespace trace = stencil::trace;
 
 using check::FindingKind;
 using stencil::Cluster;
@@ -692,47 +698,150 @@ void run_planned_exchange(const PlannedCase& c, std::vector<Method> expect_metho
   EXPECT_TRUE(chk.report().clean()) << dump(chk.report());
 }
 
+// The planned-exchange matrix: every method, remote aggregation, zero-copy
+// staging and the pack-free PEER path.
+const PlannedCase kSingleNodeAll{"single-node kAll", 1, 2, MethodFlags::kAll};
+const PlannedCase kCudaAwareRemote{"cuda-aware remote", 2, 1, MethodFlags::kAllCudaAware};
+const PlannedCase kStagedRemote{"staged remote", 2, 1,
+                                MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel};
+const PlannedCase kStagedAggregated{
+    "staged aggregated", 2, 1, MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel,
+    /*aggregate=*/true};
+const PlannedCase kStagedZeroCopy{
+    "staged zero-copy", 2, 1, MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel,
+    false, /*zero_copy=*/true};
+const PlannedCase kPeer3d{"peer 3d", 1, 2, MethodFlags::kAll, false, false, PackMode::kMemcpy3D};
+const PlannedCase kAllMethods2x2{"all methods 2x2", 2, 2,
+                                 MethodFlags::kAllCudaAware | MethodFlags::kStaged};
+
 TEST(PlannedExchange, KernelPeerColocatedSingleNodeClean) {
-  run_planned_exchange({"single-node kAll", 1, 2, MethodFlags::kAll},
-                       {Method::kKernel, Method::kPeer, Method::kColocated});
+  run_planned_exchange(kSingleNodeAll, {Method::kKernel, Method::kPeer, Method::kColocated});
 }
 
 TEST(PlannedExchange, CudaAwareRemoteClean) {
-  run_planned_exchange({"cuda-aware remote", 2, 1, MethodFlags::kAllCudaAware},
-                       {Method::kPeer, Method::kCudaAwareMpi});
+  run_planned_exchange(kCudaAwareRemote, {Method::kPeer, Method::kCudaAwareMpi});
 }
 
 TEST(PlannedExchange, StagedRemoteClean) {
-  run_planned_exchange({"staged remote", 2, 1,
-                        MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel},
-                       {Method::kPeer, Method::kStaged});
+  run_planned_exchange(kStagedRemote, {Method::kPeer, Method::kStaged});
 }
 
 TEST(PlannedExchange, StagedAggregatedClean) {
-  PlannedCase c{"staged aggregated", 2, 1,
-                MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel};
-  c.aggregate = true;
-  run_planned_exchange(c, {Method::kStaged});
+  run_planned_exchange(kStagedAggregated, {Method::kStaged});
 }
 
 TEST(PlannedExchange, StagedZeroCopyClean) {
-  PlannedCase c{"staged zero-copy", 2, 1,
-                MethodFlags::kStaged | MethodFlags::kPeer | MethodFlags::kKernel};
-  c.zero_copy = true;
-  run_planned_exchange(c, {Method::kStaged});
+  run_planned_exchange(kStagedZeroCopy, {Method::kStaged});
 }
 
 TEST(PlannedExchange, PeerMemcpy3DClean) {
-  PlannedCase c{"peer 3d", 1, 2, MethodFlags::kAll};
-  c.pack_mode = PackMode::kMemcpy3D;
-  run_planned_exchange(c, {Method::kPeer});
+  run_planned_exchange(kPeer3d, {Method::kPeer});
 }
 
 TEST(PlannedExchange, AllMethodsMultiNodeClean) {
-  run_planned_exchange({"all methods 2x2", 2, 2,
-                        MethodFlags::kAllCudaAware | MethodFlags::kStaged},
-                       {Method::kPeer, Method::kColocated, Method::kCudaAwareMpi});
+  run_planned_exchange(kAllMethods2x2, {Method::kPeer, Method::kColocated, Method::kCudaAwareMpi});
 }
+
+// ---------------------------------------------------------------------------
+// One schedule, two ways to issue it: a steady-state eager exchange and a
+// persistent replay of the same configuration must put the same GPU work on
+// the same lanes and land the same halos. CPU lanes (per-op issue vs one
+// graph launch) and MPI/NIC lanes (isend vs start) legitimately differ.
+// ---------------------------------------------------------------------------
+
+void PrintTo(const PlannedCase& c, std::ostream* os) { *os << c.name; }
+
+void poison_halos(DistributedDomain& dd, std::size_t nq) {
+  const int r = dd.radius().max();
+  dd.for_each_subdomain([&](LocalDomain& ld) {
+    const Dim3 sz = ld.size();
+    for (std::size_t q = 0; q < nq; ++q) {
+      auto v = ld.view<float>(q);
+      for (std::int64_t z = -r; z < sz.z + r; ++z) {
+        for (std::int64_t y = -r; y < sz.y + r; ++y) {
+          for (std::int64_t x = -r; x < sz.x + r; ++x) {
+            const bool interior =
+                x >= 0 && x < sz.x && y >= 0 && y < sz.y && z >= 0 && z < sz.z;
+            if (!interior) v(x, y, z) = -1.0f;
+          }
+        }
+      }
+    }
+  });
+}
+
+struct SteadyExchange {
+  std::multiset<std::pair<std::string, std::string>> gpu_spans;  // (lane, label)
+  int halo_failures = 0;
+};
+
+SteadyExchange record_steady_exchange(const PlannedCase& c, bool persistent) {
+  const Dim3 domain{48, 48, 48};
+  Cluster cluster(topo::summit(), c.nodes, c.ranks_per_node);
+  trace::Recorder rec;
+  cluster.set_recorder(&rec);
+  SteadyExchange out;
+  cluster.run([&](RankCtx& ctx) {
+    DistributedDomain dd(ctx, domain);
+    dd.set_radius(1);
+    dd.add_data<float>("a");
+    dd.add_data<float>("b");
+    dd.set_methods(c.flags);
+    dd.set_remote_aggregation(c.aggregate);
+    dd.set_staged_zero_copy(c.zero_copy);
+    dd.set_pack_mode(c.pack_mode);
+    dd.set_persistent(persistent);
+    dd.realize();
+    fill_interior(dd, 2);
+    ctx.comm.barrier();
+    dd.exchange();  // warm-up (compiles the plan in persistent mode)
+    poison_halos(dd, 2);
+    ctx.comm.barrier();
+    if (ctx.rank() == 0) rec.clear();
+    ctx.comm.barrier();
+    dd.exchange();
+    ctx.comm.barrier();
+    out.halo_failures += verify_halos(dd, domain, 2);
+  });
+  for (const trace::OpRecord& r : rec.records()) {
+    if (r.lane.rfind("gpu", 0) == 0) out.gpu_spans.emplace(r.lane, r.label);
+  }
+  return out;
+}
+
+class EagerVsPlanned : public ::testing::TestWithParam<PlannedCase> {};
+
+TEST_P(EagerVsPlanned, SameGpuWorkAndHalos) {
+  const SteadyExchange eager = record_steady_exchange(GetParam(), false);
+  const SteadyExchange planned = record_steady_exchange(GetParam(), true);
+  EXPECT_FALSE(eager.gpu_spans.empty());
+  EXPECT_EQ(eager.halo_failures, 0);
+  EXPECT_EQ(planned.halo_failures, 0);
+  std::vector<std::pair<std::string, std::string>> only_eager, only_planned;
+  std::set_difference(eager.gpu_spans.begin(), eager.gpu_spans.end(), planned.gpu_spans.begin(),
+                      planned.gpu_spans.end(), std::back_inserter(only_eager));
+  std::set_difference(planned.gpu_spans.begin(), planned.gpu_spans.end(),
+                      eager.gpu_spans.begin(), eager.gpu_spans.end(),
+                      std::back_inserter(only_planned));
+  EXPECT_TRUE(only_eager.empty() && only_planned.empty())
+      << only_eager.size() << " spans only eager (first: "
+      << (only_eager.empty() ? "-" : only_eager[0].first + " " + only_eager[0].second) << "), "
+      << only_planned.size() << " only planned (first: "
+      << (only_planned.empty() ? "-" : only_planned[0].first + " " + only_planned[0].second)
+      << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, EagerVsPlanned,
+                         ::testing::Values(kSingleNodeAll, kCudaAwareRemote, kStagedRemote,
+                                           kStagedAggregated, kStagedZeroCopy, kPeer3d,
+                                           kAllMethods2x2),
+                         [](const ::testing::TestParamInfo<PlannedCase>& info) {
+                           std::string id = info.param.name;
+                           for (char& ch : id) {
+                             if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+                           }
+                           return id;
+                         });
 
 TEST(PlannedExchange, SetPersistentWhileInFlightThrows) {
   const Dim3 domain{48, 48, 48};

@@ -450,6 +450,9 @@ TEST(PlanAdmission, FindingsRejectWithReportAttached) {
   }
   EXPECT_EQ(cache.stats().verifications, 1u);
   EXPECT_EQ(cache.stats().rejections, 1u);
+  // A rejected plan is unreachable: a retry of the same configuration must
+  // miss, compile afresh and face admission again, never replay unverified.
+  EXPECT_EQ(cache.find(key.method_flags, key.aggregated, key.quantities), nullptr);
 }
 
 TEST(PlanAdmission, NoHookIsANoOp) {
