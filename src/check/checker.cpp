@@ -93,29 +93,30 @@ void Checker::add_race(FindingKind kind, const AccessRec& prior, const AccessRec
 }
 
 void Checker::check_pair(const AccessRec& prior, bool prior_is_write, const AccessRec& cur,
-                         bool cur_is_write) {
+                         const VClock& clock, bool cur_is_write) {
   if (!prior_is_write && !cur_is_write) return;  // read/read never races
-  if (prior.at.ordered_before(cur.clock)) return;
+  if (prior.at.ordered_before(clock)) return;
   add_race(prior_is_write && cur_is_write ? FindingKind::kWriteWriteRace
                                           : FindingKind::kReadWriteRace,
            prior, cur);
 }
 
-void Checker::apply_access(Segment& seg, const AccessRec& rec, bool write) {
+void Checker::apply_access(Segment& seg, const AccessRec& rec, const VClock& clock,
+                           bool write) {
   if (write) {
-    if (seg.has_write) check_pair(seg.write, true, rec, true);
-    for (const AccessRec& r : seg.reads) check_pair(r, false, rec, true);
+    if (seg.has_write) check_pair(seg.write, true, rec, clock, true);
+    for (const AccessRec& r : seg.reads) check_pair(r, false, rec, clock, true);
     seg.write = rec;
     seg.has_write = true;
     seg.reads.clear();
   } else {
-    if (seg.has_write) check_pair(seg.write, true, rec, false);
+    if (seg.has_write) check_pair(seg.write, true, rec, clock, false);
     // Keep only reads not already ordered before this one (their causal
     // history is contained in rec's, so rec subsumes them for any future
     // write's race check).
     seg.reads.erase(std::remove_if(seg.reads.begin(), seg.reads.end(),
                                    [&](const AccessRec& r) {
-                                     return r.at.ordered_before(rec.clock);
+                                     return r.at.ordered_before(clock);
                                    }),
                     seg.reads.end());
     seg.reads.push_back(rec);
@@ -126,7 +127,7 @@ void Checker::record_access(const vgpu::MemAccess& a, const Epoch& at, const VCl
                             const std::string& label, sim::Time when) {
   if (a.buf == nullptr || a.bytes == 0) return;
   auto& segs = shadow_[a.buf->id()];
-  AccessRec rec{at, clock, label, when};
+  const AccessRec rec{at, label, when};
   const std::size_t lo = a.offset;
   const std::size_t hi = a.offset + a.bytes;
   std::size_t cur = lo;
@@ -140,14 +141,14 @@ void Checker::record_access(const vgpu::MemAccess& a, const Epoch& at, const VCl
     if (it == segs.end() || it->first >= hi) {
       Segment fresh;
       fresh.end = hi;
-      apply_access(fresh, rec, a.write);
+      apply_access(fresh, rec, clock, a.write);
       segs.emplace(cur, std::move(fresh));
       return;
     }
     if (it->first > cur) {  // gap before the next segment
       Segment fresh;
       fresh.end = it->first;
-      apply_access(fresh, rec, a.write);
+      apply_access(fresh, rec, clock, a.write);
       segs.emplace(cur, std::move(fresh));
       cur = it->first;
       continue;
@@ -164,7 +165,7 @@ void Checker::record_access(const vgpu::MemAccess& a, const Epoch& at, const VCl
       it->second.end = hi;
       segs.emplace(hi, std::move(right));
     }
-    apply_access(it->second, rec, a.write);
+    apply_access(it->second, rec, clock, a.write);
     cur = it->second.end;
     ++it;
   }

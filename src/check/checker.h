@@ -95,12 +95,12 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   void on_persistent_free(std::uint64_t serial, bool active) override;
 
  private:
-  /// One recorded access: performed at `at.tid`'s epoch `at.epoch`, with
-  /// happens-before knowledge `clock`. A later access with clock C is
-  /// ordered after it iff at.epoch <= C[at.tid].
+  /// One recorded access: performed at `at.tid`'s epoch `at.epoch`. A later
+  /// access with clock C is ordered after it iff at.epoch <= C[at.tid], so
+  /// the record needs no clock of its own: every ordering test reads only
+  /// the incoming access's clock.
   struct AccessRec {
     Epoch at;
-    VClock clock;
     std::string label;  // trace label of the op, plus its logical thread
     sim::Time when = 0;
   };
@@ -153,9 +153,10 @@ class Checker : public vgpu::RuntimeObserver, public simpi::JobObserver {
   Tid new_tid(std::string desc);
   void record_access(const vgpu::MemAccess& a, const Epoch& at, const VClock& clock,
                      const std::string& label, sim::Time when);
+  /// `clock` is the incoming access's happens-before knowledge.
   void check_pair(const AccessRec& prior, bool prior_is_write, const AccessRec& cur,
-                  bool cur_is_write);
-  void apply_access(Segment& seg, const AccessRec& rec, bool write);
+                  const VClock& clock, bool cur_is_write);
+  void apply_access(Segment& seg, const AccessRec& rec, const VClock& clock, bool write);
   void add_race(FindingKind kind, const AccessRec& prior, const AccessRec& cur);
   std::string edge_hint(Tid from, Tid to) const;
   /// Files a finding: notifies the telemetry sink, then adds to the report.

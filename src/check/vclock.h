@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -12,20 +13,18 @@ namespace stencil::check {
 using Tid = std::uint32_t;
 
 /// A sparse vector clock over checker Tids. Components default to 0;
-/// entries are kept sorted by tid so join/leq are linear merges. Clocks stay
-/// tiny in practice (an op's clock names the few threads it descends from),
-/// which is why sparse beats a dense vector indexed by every stream ever
-/// created.
+/// entries are kept sorted by tid, so get/set are binary searches and
+/// join/leq are linear merges. A clock names only the threads its holder
+/// descends from, which is why sparse beats a dense vector indexed by every
+/// stream and request ever created.
 class VClock {
  public:
   std::uint64_t get(Tid t) const {
-    for (const auto& [tid, v] : c_) {
-      if (tid == t) return v;
-      if (tid > t) break;
-    }
-    return 0;
+    auto it = lower_bound(t);
+    return it != c_.end() && it->first == t ? it->second : 0;
   }
 
+  /// `v` must be nonzero: only nonzero components are stored, and leq() relies on it.
   void set(Tid t, std::uint64_t v) {
     auto it = lower_bound(t);
     if (it != c_.end() && it->first == t) {
@@ -46,7 +45,7 @@ class VClock {
   /// Pointwise maximum: *this |= other.
   void join(const VClock& other) {
     if (other.c_.empty()) return;
-    std::vector<std::pair<Tid, std::uint64_t>> merged;
+    Entries merged;
     merged.reserve(c_.size() + other.c_.size());
     auto a = c_.begin();
     auto b = other.c_.begin();
@@ -89,19 +88,23 @@ class VClock {
   }
 
  private:
-  std::vector<std::pair<Tid, std::uint64_t>>::iterator lower_bound(Tid t) {
-    auto it = c_.begin();
-    while (it != c_.end() && it->first < t) ++it;
-    return it;
+  using Entries = std::vector<std::pair<Tid, std::uint64_t>>;
+
+  static bool tid_less(const std::pair<Tid, std::uint64_t>& e, Tid t) { return e.first < t; }
+  Entries::iterator lower_bound(Tid t) {
+    return std::lower_bound(c_.begin(), c_.end(), t, tid_less);
+  }
+  Entries::const_iterator lower_bound(Tid t) const {
+    return std::lower_bound(c_.begin(), c_.end(), t, tid_less);
   }
 
-  std::vector<std::pair<Tid, std::uint64_t>> c_;
+  Entries c_;
 };
 
 /// One recorded access for the FastTrack-style ordering test: the access was
-/// performed "at" epoch `epoch` of thread `tid`, with knowledge `clock`.
-/// A later access B happens-after access A iff B's clock contains A's epoch:
-/// A.epoch <= B.clock[A.tid].
+/// performed "at" epoch `epoch` of thread `tid`. A later access B
+/// happens-after access A iff B's clock contains A's epoch:
+/// A.epoch <= B.clock[A.tid]. A's own clock is never needed.
 struct Epoch {
   Tid tid = 0;
   std::uint64_t epoch = 0;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -67,6 +70,142 @@ TEST(CheckVClock, EpochOrderedBefore) {
   EXPECT_TRUE((check::Epoch{4, 2}.ordered_before(c)));
   EXPECT_FALSE((check::Epoch{4, 3}.ordered_before(c)));
   EXPECT_FALSE((check::Epoch{5, 1}.ordered_before(c)));
+}
+
+// Property test against a dense reference: a std::map holding every
+// component, compared after each operation through get() over the whole tid
+// universe and through str(), which lists the stored entries in tid order.
+using RefClock = std::map<check::Tid, std::uint64_t>;
+
+constexpr check::Tid kTidUniverse = 24;
+
+std::string ref_str(const RefClock& r) {
+  std::string s = "{";
+  for (const auto& [tid, v] : r) {
+    if (s.size() > 1) s += ", ";
+    s += std::to_string(tid) + ":" + std::to_string(v);
+  }
+  return s + "}";
+}
+
+void expect_same(const check::VClock& c, const RefClock& r) {
+  for (check::Tid t = 0; t <= kTidUniverse + 1; ++t) {
+    const auto it = r.find(t);
+    ASSERT_EQ(c.get(t), it == r.end() ? 0u : it->second) << "tid " << t << " of " << c.str();
+  }
+  ASSERT_EQ(c.str(), ref_str(r));
+  ASSERT_EQ(c.empty(), r.empty());
+}
+
+bool ref_leq(const RefClock& a, const RefClock& b) {
+  for (const auto& [tid, v] : a) {
+    const auto it = b.find(tid);
+    if (v > (it == b.end() ? 0u : it->second)) return false;
+  }
+  return true;
+}
+
+/// A random sparse clock over tids 1..kTidUniverse, built through set().
+std::pair<check::VClock, RefClock> random_clock(std::mt19937_64& rng, std::size_t max_entries) {
+  check::VClock c;
+  RefClock r;
+  const std::size_t n = rng() % (max_entries + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const check::Tid t = 1 + static_cast<check::Tid>(rng() % kTidUniverse);
+    const std::uint64_t v = 1 + rng() % 6;
+    c.set(t, v);
+    r[t] = v;
+  }
+  return {c, r};
+}
+
+/// A clock naming only (a random subset of) `base`'s tids: joining it into
+/// `base` adds no entry.
+std::pair<check::VClock, RefClock> random_subset(std::mt19937_64& rng, const RefClock& base) {
+  check::VClock c;
+  RefClock r;
+  for (const auto& [tid, v] : base) {
+    if (rng() % 2 == 0) continue;
+    const std::uint64_t w = 1 + rng() % 6;
+    c.set(tid, w);
+    r[tid] = w;
+  }
+  return {c, r};
+}
+
+void ref_join(RefClock& a, const RefClock& b) {
+  for (const auto& [tid, v] : b) a[tid] = std::max(a[tid], v);
+}
+
+TEST(CheckVClock, MatchesDenseReferenceOnRandomClocks) {
+  std::mt19937_64 rng(20201);
+  int subset_joins = 0, new_tid_joins = 0;
+  for (int round = 0; round < 400; ++round) {
+    auto [a, ra] = random_clock(rng, 10);
+    expect_same(a, ra);
+    for (int step = 0; step < 12; ++step) {
+      const check::Tid t = 1 + static_cast<check::Tid>(rng() % kTidUniverse);
+      switch (rng() % 4) {
+        case 0: {
+          const std::uint64_t v = 1 + rng() % 8;
+          a.set(t, v);
+          ra[t] = v;
+          break;
+        }
+        case 1:
+          ASSERT_EQ(a.bump(t), ++ra[t]);
+          break;
+        case 2: {
+          // Alternate joins that add no entry (subset) and joins that add entries.
+          const bool subset = rng() % 2 == 0;
+          auto [b, rb] = subset ? random_subset(rng, ra) : random_clock(rng, 10);
+          const bool names_new = std::any_of(rb.begin(), rb.end(), [&](const auto& e) {
+            return ra.count(e.first) == 0;
+          });
+          ++(names_new ? new_tid_joins : subset_joins);
+          ASSERT_EQ(a.leq(b), ref_leq(ra, rb));
+          ASSERT_EQ(b.leq(a), ref_leq(rb, ra));
+          a.join(b);
+          ref_join(ra, rb);
+          expect_same(b, rb);  // the argument is left untouched
+          ASSERT_TRUE(b.leq(a));
+          break;
+        }
+        default: {
+          auto [b, rb] = random_clock(rng, 10);
+          ASSERT_EQ(a.leq(b), ref_leq(ra, rb));
+          ASSERT_EQ(b.leq(a), ref_leq(rb, ra));
+          break;
+        }
+      }
+      expect_same(a, ra);
+    }
+  }
+  EXPECT_GT(subset_joins, 100);
+  EXPECT_GT(new_tid_joins, 100);
+}
+
+TEST(CheckVClock, JoinEdgeCases) {
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 50; ++round) {
+    auto [a, ra] = random_clock(rng, 12);
+    // Empty on either side.
+    check::VClock empty;
+    a.join(empty);
+    expect_same(a, ra);
+    check::VClock e2;
+    e2.join(a);
+    expect_same(e2, ra);
+    EXPECT_TRUE(empty.leq(a));
+    EXPECT_EQ(a.leq(empty), ra.empty());
+    // Joining a clock with itself changes nothing.
+    a.join(a);
+    expect_same(a, ra);
+    EXPECT_TRUE(a.leq(a));
+  }
+  check::VClock none, also_none;
+  none.join(also_none);
+  expect_same(none, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -212,6 +351,35 @@ TEST(CheckRaces, MemcpyAccessesAreDerivedAutomatically) {
     rt.stream_synchronize(s2);
   });
   EXPECT_EQ(rep.count(FindingKind::kWriteWriteRace), 1u) << dump(rep);
+}
+
+TEST(CheckRaces, ReadPruningKeepsUnorderedReads) {
+  // Reads of one range on streams A and B, unordered with each other. A
+  // later read on A is ordered after A's first read only (stream FIFO), so
+  // it replaces that read in the shadow history but must keep B's. A write
+  // on C ordered (by event) after A alone then races with B's read, and with
+  // nothing else.
+  auto rep = run_checked([](vgpu::Runtime& rt) {
+    auto buf = rt.alloc_device(0, 256);
+    auto a = rt.create_stream(0);
+    auto b = rt.create_stream(0);
+    auto c = rt.create_stream(0);
+    rt.launch_kernel(a, 256, "read-a1", [] {}, {{&buf, 0, 256, false}});
+    rt.launch_kernel(b, 256, "read-b", [] {}, {{&buf, 0, 256, false}});
+    rt.launch_kernel(a, 256, "read-a2", [] {}, {{&buf, 0, 256, false}});
+    vgpu::Event after_a;
+    rt.record_event(after_a, a);
+    rt.stream_wait_event(c, after_a);
+    rt.launch_kernel(c, 256, "write-c", [] {}, {{&buf, 0, 256, true}});
+    rt.stream_synchronize(a);
+    rt.stream_synchronize(b);
+    rt.stream_synchronize(c);
+  });
+  ASSERT_EQ(rep.findings().size(), 1u) << dump(rep);
+  ASSERT_EQ(rep.count(FindingKind::kReadWriteRace), 1u) << dump(rep);
+  const check::Finding& f = rep.findings()[0];
+  EXPECT_NE(f.first.find("read-b"), std::string::npos) << f.first;
+  EXPECT_NE(f.second.find("write-c"), std::string::npos) << f.second;
 }
 
 // ---------------------------------------------------------------------------
