@@ -1,12 +1,13 @@
 #include "simtime/engine.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <cstdint>
+#include <cstring>
 #include <cxxabi.h>
 #include <sstream>
 #include <system_error>
@@ -20,10 +21,71 @@
 #endif
 
 #ifdef STENCIL_ASAN
-#include <dlfcn.h>
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
+
+#if !defined(__x86_64__) || defined(_WIN32)
+#error "simtime: stencil_sim_switch_stack exists only for the x86-64 SysV ABI; port it"
+#endif
+
+// Suspend the calling fiber and resume another. Pushes the SysV callee-saved
+// registers and the floating-point control state (MXCSR, x87 control word),
+// stores the resulting stack pointer to *save_sp, loads load_sp, and pops the
+// same frame off the other stack. Every other register is caller-saved, so
+// the compiler already preserves what it needs around this call. The
+// signal mask is not part of a fiber (nothing changes it), so a switch makes
+// no system call. The frame has the same shape on every stack, so the CFI
+// below stays valid on both sides of the swap.
+extern "C" __attribute__((visibility("hidden"))) void stencil_sim_switch_stack(void** save_sp,
+                                                                               void* load_sp);
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl stencil_sim_switch_stack
+  .hidden stencil_sim_switch_stack
+  .type stencil_sim_switch_stack, @function
+stencil_sim_switch_stack:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size stencil_sim_switch_stack, .-stencil_sim_switch_stack
+  .popsection
+)");
 
 namespace stencil::sim {
 
@@ -51,28 +113,27 @@ struct EhGlobals {
 
 EhGlobals& eh_globals() { return *reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals()); }
 
-using SwapContextFn = int (*)(ucontext_t*, const ucontext_t*);
-
-// Under ASan, call libc's swapcontext rather than ASan's interceptor: the
-// interceptor cannot know where the stacks are, so it clears the target's
-// shadow and warns about false positives. The switches here tell ASan
-// exactly (start/finish_switch_fiber), which makes that guess unnecessary.
-SwapContextFn swap_context() {
-#ifdef STENCIL_ASAN
-  static const SwapContextFn fn = [] {
-    void* libc = dlopen("libc.so.6", RTLD_LAZY | RTLD_NOLOAD);
-    void* sym = libc != nullptr ? dlsym(libc, "swapcontext") : nullptr;
-    return sym != nullptr ? reinterpret_cast<SwapContextFn>(sym) : &::swapcontext;
-  }();
-  return fn;
-#else
-  return &::swapcontext;
-#endif
-}
+// What stencil_sim_switch_stack pops, lowest address first. A new actor's
+// stack starts with one of these on top, so the first switch to it "returns"
+// into fiber_entry with rsp = 8 (mod 16), as at any function entry.
+struct SwitchFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t x87_cw;
+  std::uint16_t pad;
+  void* r15;
+  void* r14;
+  void* r13;
+  void* r12;
+  void* rbx;
+  void* rbp;  // 0: frame-pointer walks stop here
+  void (*ret)();
+  void* entry_ret;  // fiber_entry's return address: 0, it never returns
+};
+static_assert(sizeof(SwitchFrame) == 72 && alignof(SwitchFrame) == 8);
 }  // namespace
 
 struct Engine::Fiber {
-  ucontext_t ctx{};
+  void* sp = nullptr;  // saved stack pointer while suspended
   EhGlobals eh;
   // Usable stack (above the guard page). For the run() caller it stays
   // unknown until ASan reports it on the first switch away from it.
@@ -111,11 +172,14 @@ struct Engine::Actor : Fiber {
     }
     stack_lo = static_cast<char*>(mapping) + page;
     stack_size = kStackBytes - page;
-    getcontext(&ctx);
-    ctx.uc_stack.ss_sp = const_cast<void*>(stack_lo);
-    ctx.uc_stack.ss_size = stack_size;
-    ctx.uc_link = nullptr;  // fibers never return; they switch away when done
-    makecontext(&ctx, &Engine::fiber_entry, 0);
+    // The actor starts in the floating-point mode of the thread creating
+    // it; from then on its mode is its own.
+    SwitchFrame seed{};
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(seed.mxcsr), "=m"(seed.x87_cw));
+    seed.ret = &Engine::fiber_entry;
+    const auto top = reinterpret_cast<std::uintptr_t>(mapping) + kStackBytes;  // 16-aligned
+    sp = reinterpret_cast<void*>(top - sizeof(SwitchFrame));
+    std::memcpy(sp, &seed, sizeof seed);
   }
   Actor(const Actor&) = delete;
   Actor& operator=(const Actor&) = delete;
@@ -236,7 +300,7 @@ void Engine::switch_to(Fiber& from, Fiber& to, int to_id, bool from_exits) {
 #else
   (void)from_exits;
 #endif
-  swap_context()(&from.ctx, &to.ctx);
+  stencil_sim_switch_stack(&from.sp, to.sp);
   // Resumed: whoever switched back here has already restored our state.
 #ifdef STENCIL_ASAN
   __sanitizer_finish_switch_fiber(from.asan_fake_stack, nullptr, nullptr);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simtime/engine.h"
@@ -244,6 +248,145 @@ TEST(Engine, UncaughtExceptionCountIsPerActor) {
              seen.push_back(10 + std::uncaught_exceptions());
            }});
   EXPECT_EQ(seen, (std::vector<int>{1, 10, 1, 0}));
+}
+
+namespace {
+// The rounding mode as both FP units see it: fegetround() reads the x87
+// control word, and a double division rounds by MXCSR.
+std::pair<int, double> fp_mode() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return {std::fegetround(), one / three};
+}
+
+[[gnu::noinline]] std::uintptr_t frame_misalignment() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) % 16;
+}
+
+// Recurses `level` frames of 1 KiB each and calls `bottom` at the bottom.
+// Returns what `bottom` returns plus the number of frames whose contents
+// changed meanwhile.
+[[gnu::noinline]] int deep_frames_changed(int level, std::uint64_t tag,
+                                          const std::function<int()>& bottom) {
+  std::uint64_t frame[128];
+  for (std::uint64_t i = 0; i < 128; ++i) frame[i] = tag * 1000003u + level * 131u + i;
+  asm volatile("" : : "r"(frame) : "memory");  // the compiler must re-read it below
+  int changed = level == 0 ? bottom() : deep_frames_changed(level - 1, tag, bottom);
+  for (std::uint64_t i = 0; i < 128; ++i) {
+    if (frame[i] != tag * 1000003u + level * 131u + i) return changed + 1;
+  }
+  return changed;
+}
+
+struct Arrivals {
+  sim::Engine& e;
+  sim::Gate& gate;
+  int actors;
+  int arrived = 0;
+};
+
+// Holds sixteen values derived from `k` live across a yield, a sleep and a
+// wait for every actor's arrival, calling the engine directly so no other
+// frame of ours sits between them and the switch. Returns how many changed.
+// Volatile sources keep the compiler from recomputing the values; the empty
+// asm statements keep the integers in general registers on both sides of
+// the calls, so they live in callee-saved registers (or the stack) rather
+// than in vectors.
+[[gnu::noinline]] int values_changed_across_blocking(Arrivals& a, std::uint64_t k) {
+  volatile std::uint64_t vn[8];
+  volatile double vx[8];
+  for (int j = 0; j < 8; ++j) {
+    vn[j] = k * static_cast<std::uint64_t>(2 * j + 1);
+    vx[j] = static_cast<double>(k >> (j + 11)) * 0.5 + j;
+  }
+  std::uint64_t n0 = vn[0], n1 = vn[1], n2 = vn[2], n3 = vn[3], n4 = vn[4], n5 = vn[5],
+                n6 = vn[6], n7 = vn[7];
+  const double x0 = vx[0], x1 = vx[1], x2 = vx[2], x3 = vx[3], x4 = vx[4], x5 = vx[5],
+               x6 = vx[6], x7 = vx[7];
+  asm volatile("" : "+r"(n0), "+r"(n1), "+r"(n2), "+r"(n3), "+r"(n4), "+r"(n5), "+r"(n6),
+               "+r"(n7));
+  a.e.yield();
+  a.e.sleep_for(static_cast<sim::Duration>(k % 7) + 1);
+  if (++a.arrived == a.actors) {
+    a.gate.notify_all(a.e);
+  } else {
+    while (a.arrived < a.actors) a.gate.wait(a.e, "arrive");
+  }
+  a.e.yield();
+  asm volatile("" : "+r"(n0), "+r"(n1), "+r"(n2), "+r"(n3), "+r"(n4), "+r"(n5), "+r"(n6),
+               "+r"(n7));
+  const std::uint64_t got_n[8] = {n0, n1, n2, n3, n4, n5, n6, n7};
+  const double got_x[8] = {x0, x1, x2, x3, x4, x5, x6, x7};
+  int changed = 0;
+  for (int j = 0; j < 8; ++j) changed += (got_n[j] != vn[j]) + (got_x[j] != vx[j]);
+  return changed;
+}
+}  // namespace
+
+TEST(Engine, FloatingPointControlIsPerActor) {
+  // Actor 0 switches to round-upward and sleeps; actor 1 runs meanwhile in
+  // the default mode, and actor 0 resumes in its own. The run() caller gets
+  // its mode back when the run ends.
+  sim::Engine eng;
+  const auto nearest = fp_mode();
+  ASSERT_EQ(nearest.first, FE_TONEAREST);
+  std::vector<std::pair<int, double>> seen;
+  eng.run({[&] {
+             std::fesetround(FE_UPWARD);
+             sim::Engine::current()->sleep_for(10);
+             seen.push_back(fp_mode());
+           },
+           [&] {
+             sim::Engine::current()->sleep_for(5);
+             seen.push_back(fp_mode());
+           }});
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], nearest);
+  EXPECT_EQ(seen[1].first, FE_UPWARD);
+  EXPECT_GT(seen[1].second, nearest.second);
+  EXPECT_EQ(fp_mode(), nearest);
+}
+
+TEST(Engine, ActorStacksAreAbiAligned) {
+  sim::Engine eng;
+  std::vector<std::uintptr_t> misalign;
+  std::vector<std::function<void()>> bodies;
+  for (int i = 0; i < 3; ++i) {
+    bodies.push_back([&, i] {
+      auto* e = sim::Engine::current();
+      misalign.push_back(frame_misalignment());
+      e->sleep_for(i + 1);
+      misalign.push_back(frame_misalignment());
+      e->yield();
+      misalign.push_back(frame_misalignment());
+    });
+  }
+  eng.run(std::move(bodies));
+  EXPECT_EQ(misalign, std::vector<std::uintptr_t>(9, 0));
+}
+
+TEST(Engine, CalleeSavedStateSurvivesSwitches) {
+  // Each actor holds more live integers and doubles than there are
+  // callee-saved registers, under ~1 MiB of its own stack frames, across a
+  // yield, a sleep and a gate wait while the other actors run the same code.
+  constexpr int kActors = 4;
+  sim::Engine eng;
+  sim::Gate gate("all-arrived");
+  Arrivals arrivals{eng, gate, kActors};
+  std::vector<int> wrong(kActors, -1);
+  std::vector<std::function<void()>> bodies;
+  for (int id = 0; id < kActors; ++id) {
+    bodies.push_back([&, id] {
+      const std::uint64_t k = 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(id + 1);
+      const int bad = deep_frames_changed(1024, k, [&] {
+        return values_changed_across_blocking(arrivals, k);
+      });
+      wrong[static_cast<std::size_t>(id)] = bad;
+    });
+  }
+  eng.run(std::move(bodies));
+  EXPECT_EQ(arrivals.arrived, kActors);
+  EXPECT_EQ(wrong, std::vector<int>(kActors, 0));
 }
 
 TEST(Engine, GoldenMixedSchedule) {
